@@ -103,13 +103,18 @@ func (d *Dataset) Validate() error {
 type Sampler struct {
 	data *Dataset
 	r    *rng.RNG
-	idx  []int
 }
 
 // NewSampler creates a mini-batch sampler over data.
 func NewSampler(data *Dataset, r *rng.RNG) *Sampler {
-	return &Sampler{data: data, r: r}
+	s := new(Sampler)
+	s.Reset(data, r)
+	return s
 }
+
+// Reset points s at data and the stream r, so a sampler can be embedded
+// in a longer-lived record instead of allocated on its own.
+func (s *Sampler) Reset(data *Dataset, r *rng.RNG) { s.data, s.r = data, r }
 
 // Stream exposes the sampler's random stream so checkpointing code can
 // capture and restore its cursor.
@@ -117,18 +122,18 @@ func (s *Sampler) Stream() *rng.RNG { return s.r }
 
 // Batch fills x and y with a uniformly sampled mini-batch of size
 // len(y). When the dataset is smaller than the batch, samples repeat.
+// Each row is copied as soon as its index is drawn, so the sampler keeps
+// no scratch and a batch allocates nothing.
 func (s *Sampler) Batch(x []float64, y []int) {
-	n := s.data.Len()
+	d := s.data
+	n := d.Len()
 	if n == 0 {
 		panic("dataset: sampling from an empty dataset")
 	}
-	batch := len(y)
-	if cap(s.idx) < batch {
-		s.idx = make([]int, batch)
+	size := d.In.Size()
+	for i := range y {
+		idx := s.r.IntN(n)
+		copy(x[i*size:(i+1)*size], d.X[idx*size:(idx+1)*size])
+		y[i] = d.Y[idx]
 	}
-	idx := s.idx[:batch]
-	for i := range idx {
-		idx[i] = s.r.IntN(n)
-	}
-	s.data.Gather(idx, x, y)
 }

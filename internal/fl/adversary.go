@@ -49,7 +49,9 @@ type deltaInjector struct {
 // corrupt reports whether the client is designated adversarial by any
 // spec — the ground truth the weight-mass metrics and detection scores
 // are measured against (window-gated attackers count even while dormant).
-func (c *client) corrupt() bool { return c.adv != nil }
+// A client not yet built (nil) is honest: adversarial clients are built
+// at setup.
+func (c *client) corrupt() bool { return c != nil && c.adv != nil }
 
 // fabricatorAt returns the client's fabricator when one is live at
 // modeled time now, else nil.
@@ -112,10 +114,12 @@ func (c *client) injectDelta(cfg *Config, delta []float64, round int, now float6
 }
 
 // setupAdversaries compiles the config's corruption specs onto the
-// clients. It runs after every honest RNG stream has been derived from
-// root, so adversarial streams never perturb honest ones; specs are
-// processed in declaration order and members in ascending ID order, so
-// setup (including which invalid ID an error reports) is deterministic.
+// clients, which must already be built. It derives each adversarial
+// client's stream from root in first-seen order — root positioned at the
+// stream table's adversary block (fleet.go), after every honest stream —
+// so adversarial streams never perturb honest ones; specs are processed
+// in declaration order and members in ascending ID order, so setup
+// (including which invalid ID an error reports) is deterministic.
 func setupAdversaries(cfg *Config, clients []*client, root *rng.RNG) error {
 	for si, spec := range cfg.adversarySpecs() {
 		members := spec.Members(len(clients))

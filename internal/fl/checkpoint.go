@@ -10,6 +10,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/compress"
 	"repro/internal/metrics"
+	"repro/internal/rng"
 	"repro/internal/vecmath"
 )
 
@@ -59,7 +60,7 @@ func (s *scheduler) fingerprint() uint64 {
 	c := s.cfg
 	c.OnCheckpoint = nil
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|net=%x|alg=%s|d=%d|n=%d", c, s.env.Net.Fingerprint(), s.alg.Name(), len(s.params), len(s.clients))
+	fmt.Fprintf(h, "%+v|net=%x|alg=%s|d=%d|n=%d", c, s.env.Net.Fingerprint(), s.alg.Name(), len(s.params), len(s.fleet.clients))
 	return h.Sum64()
 }
 
@@ -103,18 +104,22 @@ func (s *scheduler) snapshot(t int) error {
 	}
 	writeRunHistory(w, s.run)
 
-	// rng cursors, in the derivation order of newScheduler.
+	// rng cursors, in stream-table order. A client that was never built
+	// records its fresh stream state, so the blob is the same whichever
+	// clients happen to have been built.
 	if err := ckpt.WriteCursor(w, s.partRNG); err != nil {
 		return err
 	}
-	for _, c := range s.clients {
-		if err := ckpt.WriteCursor(w, c.sampler.Stream()); err != nil {
+	f := s.fleet
+	var fresh rng.RNG
+	for i := range f.clients {
+		if err := ckpt.WriteCursor(w, f.stream(streamSampler, i, &fresh)); err != nil {
 			return err
 		}
 	}
-	for _, c := range s.clients {
-		ckpt.WriteBool(w, c.adv != nil)
-		if c.adv == nil {
+	for _, c := range f.clients {
+		ckpt.WriteBool(w, c.corrupt())
+		if !c.corrupt() {
 			continue
 		}
 		if err := ckpt.WriteCursor(w, c.adv.r); err != nil {
@@ -130,29 +135,28 @@ func (s *scheduler) snapshot(t int) error {
 	comp := s.pool.comp
 	ckpt.WriteBool(w, comp != nil)
 	if comp != nil {
-		for _, st := range comp.streams {
-			if err := ckpt.WriteCursor(w, st); err != nil {
+		for i := range f.clients {
+			if err := ckpt.WriteCursor(w, f.stream(streamCompress, i, &fresh)); err != nil {
 				return err
 			}
 		}
-		if comp.resid32 != nil {
-			// fp32 residuals are widened to float64 rows on the wire:
-			// widening is exact and restore's narrowing is its exact
-			// inverse, so the round-trip is bit-identical without a
-			// second on-disk row format. (DType is fingerprinted, so a
-			// blob can never be restored under the other precision.)
-			rows := make([][]float64, len(comp.resid32))
-			for i, e := range comp.resid32 {
-				if e == nil {
-					continue
-				}
-				rows[i] = make([]float64, len(e))
-				vecmath.Widen(rows[i], e)
+		// fp32 residuals are widened to float64 rows on the wire: widening
+		// is exact and restore's narrowing is its exact inverse, so the
+		// round-trip is bit-identical without a second on-disk row format.
+		// (DType is fingerprinted, so a blob can never be restored under
+		// the other precision.)
+		rows := make([][]float64, len(f.clients))
+		for i, c := range f.clients {
+			switch {
+			case c == nil:
+			case c.resid32 != nil:
+				rows[i] = make([]float64, len(c.resid32))
+				vecmath.Widen(rows[i], c.resid32)
+			default:
+				rows[i] = c.resid
 			}
-			if err := ckpt.WriteF64Rows(w, rows); err != nil {
-				return err
-			}
-		} else if err := ckpt.WriteF64Rows(w, comp.resid); err != nil {
+		}
+		if err := ckpt.WriteF64Rows(w, rows); err != nil {
 			return err
 		}
 	}
@@ -309,8 +313,8 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 	if err != nil {
 		return err
 	}
-	if nExp < 0 || nExp > len(s.clients) {
-		return fmt.Errorf("%d expelled entries for %d clients", nExp, len(s.clients))
+	if nExp < 0 || nExp > len(s.active) {
+		return fmt.Errorf("%d expelled entries for %d clients", nExp, len(s.active))
 	}
 	clear(s.expelled)
 	for i := 0; i < nExp; i++ {
@@ -322,8 +326,8 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 		if err != nil {
 			return err
 		}
-		if id < 0 || id >= len(s.clients) {
-			return fmt.Errorf("expelled id %d outside [0,%d)", id, len(s.clients))
+		if id < 0 || id >= len(s.active) {
+			return fmt.Errorf("expelled id %d outside [0,%d)", id, len(s.active))
 		}
 		s.expelled[id] = round
 	}
@@ -349,23 +353,30 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 		}
 		return ckpt.SkipCursor(r)
 	}
+	f := s.fleet
+	clientCursor := func(kind streamKind, id int) error {
+		if applyRNG {
+			return f.restoreCursor(r, kind, id)
+		}
+		return ckpt.SkipCursor(r)
+	}
 	if err = cursor(s.partRNG); err != nil {
 		return fmt.Errorf("participation stream: %w", err)
 	}
-	for i, c := range s.clients {
-		if err = cursor(c.sampler.Stream()); err != nil {
+	for i := range f.clients {
+		if err = clientCursor(streamSampler, i); err != nil {
 			return fmt.Errorf("client %d sampler: %w", i, err)
 		}
 	}
-	for i, c := range s.clients {
+	for i, c := range f.clients {
 		hasAdv, err := ckpt.ReadBool(r)
 		if err != nil {
 			return err
 		}
-		if hasAdv != (c.adv != nil) {
+		if hasAdv != c.corrupt() {
 			return fmt.Errorf("client %d adversary presence mismatch", i)
 		}
-		if c.adv == nil {
+		if !hasAdv {
 			continue
 		}
 		if err = cursor(c.adv.r); err != nil {
@@ -391,9 +402,9 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 	if hasComp != (s.pool.comp != nil) {
 		return fmt.Errorf("compression presence mismatch")
 	}
-	if comp := s.pool.comp; comp != nil {
-		for i, st := range comp.streams {
-			if err = cursor(st); err != nil {
+	if s.pool.comp != nil {
+		for i := range f.clients {
+			if err = clientCursor(streamCompress, i); err != nil {
 				return fmt.Errorf("client %d quantization stream: %w", i, err)
 			}
 		}
@@ -403,38 +414,27 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 		if err != nil {
 			return fmt.Errorf("EF residuals: %w", err)
 		}
-		if comp.resid32 != nil {
-			if rows != nil && len(rows) != len(comp.resid32) {
-				return fmt.Errorf("%d residual rows for %d clients", len(rows), len(comp.resid32))
+		if rows != nil && len(rows) != len(f.clients) {
+			return fmt.Errorf("%d residual rows for %d clients", len(rows), len(f.clients))
+		}
+		for i, c := range f.clients {
+			if rows == nil || rows[i] == nil {
+				if c != nil {
+					c.resid, c.resid32 = nil, nil
+				}
+				continue
 			}
-			for i := range comp.resid32 {
-				if rows == nil || rows[i] == nil {
-					comp.resid32[i] = nil
-					continue
-				}
-				if len(rows[i]) != len(s.params) {
-					return fmt.Errorf("client %d residual length %d, want %d", i, len(rows[i]), len(s.params))
-				}
-				e := comp.resid32[i]
-				if e == nil {
-					e = make([]float32, len(s.params))
-				}
-				vecmath.Narrow(e, rows[i])
-				comp.resid32[i] = e
+			if len(rows[i]) != len(s.params) {
+				return fmt.Errorf("client %d residual length %d, want %d", i, len(rows[i]), len(s.params))
 			}
-		} else {
-			if rows != nil && len(rows) != len(comp.resid) {
-				return fmt.Errorf("%d residual rows for %d clients", len(rows), len(comp.resid))
-			}
-			for i := range comp.resid {
-				if rows == nil || rows[i] == nil {
-					comp.resid[i] = nil
-					continue
+			c = f.get(i)
+			if s.pool.comp.f32 {
+				if c.resid32 == nil {
+					c.resid32 = make([]float32, len(s.params))
 				}
-				if len(rows[i]) != len(s.params) {
-					return fmt.Errorf("client %d residual length %d, want %d", i, len(rows[i]), len(s.params))
-				}
-				comp.resid[i] = rows[i]
+				vecmath.Narrow(c.resid32, rows[i])
+			} else {
+				c.resid = rows[i]
 			}
 		}
 	}
@@ -485,7 +485,7 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 	}
 	if isAsync {
 		if s.pending == nil {
-			s.pending = make([]flight, len(s.clients))
+			s.pending = make([]flight, len(f.clients))
 			s.buffer = make([]Update, 0, s.cfg.asyncBuffer())
 		}
 		for id := range s.pending {
@@ -520,11 +520,12 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 				return err
 			}
 			u := s.pool.getUpload()
+			c := s.fleet.get(id)
 			f.update = Update{
 				Client:     id,
 				Delta:      u.delta,
-				NumSamples: s.clients[id].data.Len(),
-				Corrupt:    s.clients[id].corrupt(),
+				NumSamples: c.data.Len(),
+				Corrupt:    c.corrupt(),
 				ring:       u,
 			}
 			if f.update.TrainLoss, err = ckpt.ReadF64(r); err != nil {

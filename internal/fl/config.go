@@ -356,12 +356,15 @@ func (c Config) faultBackoff(baseRound float64) float64 {
 	return 0.25 * baseRound
 }
 
-// devices resolves the fleet default (n nominal always-available devices).
-func (c Config) devices(n int) []simclock.DeviceProfile {
-	if len(c.Devices) > 0 {
-		return c.Devices
+// maxCohort returns the most clients one dispatch can carry over a fleet
+// of n: the partial-participation sample size, or the whole fleet (full
+// participation, and the async policy's initial wave). Per-round buffers
+// are sized to it rather than to the fleet.
+func (c Config) maxCohort(n int) int {
+	if f := c.ParticipationFraction; f > 0 && f < 1 {
+		return max(int(f*float64(n)+0.5), 1)
 	}
-	return simclock.UniformFleet(n)
+	return n
 }
 
 // evalEvery resolves the evaluation cadence default.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/compress"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -29,17 +28,31 @@ type Result struct {
 	CumWeights []float64
 }
 
-// client is the engine's per-client identity state: the data shard, the
-// client's deterministic sampling stream, and its last reported loss.
-// Training resources (engine, parameter buffers) live in the slot pool
-// (pool.go), so a client costs O(1) model-sized memory when idle. adv is
-// the compiled corruption state (adversary.go), nil for honest clients.
+// client is the engine's per-client state record: the data shard, the
+// client's deterministic sampling stream, its last reported loss, and —
+// with an uplink codec live — its quantization stream and error-feedback
+// residual. Training resources (engine, parameter buffers) live in the
+// slot pool (pool.go), so a client costs O(1) model-sized memory when
+// idle, and the fleet (fleet.go) builds a client only when it first
+// participates. adv is the compiled corruption state (adversary.go), nil
+// for honest clients.
 type client struct {
 	id       int
 	data     *dataset.Dataset
 	sampler  *dataset.Sampler
 	lastLoss float64
 	adv      *advClient
+
+	// smp and samplerRNG back sampler, and codecRNG drives the codec's
+	// stochastic rounding; all are embedded so building a client costs
+	// one allocation.
+	smp        dataset.Sampler
+	samplerRNG rng.RNG
+	codecRNG   rng.RNG
+	// resid (resid32 under DType "f32") is the error-feedback residual,
+	// allocated on the client's first encode (nil = zero vector).
+	resid   []float64
+	resid32 []float32
 }
 
 // Run trains net with the given algorithm over the client shards and
@@ -103,23 +116,28 @@ func newScheduler(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 // newSchedulerExec is newScheduler with the execution substrate made
 // explicit: remote builds a ring-only pool (no slots, no training
 // goroutines — clients train in worker processes) and leaves s.exec for
-// the caller to swap to the remote executor. Every rng derivation
-// happens identically in both modes — the derivation ORDER is the
-// determinism contract workers replay (worker.go) — so a wire run's
-// fault plan, participation draws, and quantization streams are
-// bit-identical to the in-process run's.
+// the caller to swap to the remote executor. Every stream comes from the
+// run's stream table (fleet.go), which the wire worker reads too, so a
+// wire run's fault plan, participation draws, and quantization streams
+// are bit-identical to the in-process run's.
+//
+// Setup is O(cohort), not O(fleet): clients are built on first
+// participation, a nil device fleet means uniform, and every per-round
+// buffer is sized to the largest cohort the config can dispatch. What
+// stays fleet-sized is a pointer per client, the active flags, and — for
+// partial participation — the int32 shuffle buffer participants draws
+// from.
 func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, remote bool) (*scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(shards)
-	if n == 0 {
-		return nil, fmt.Errorf("fl: no client shards")
+	fc, advIDs, err := newFleet(&cfg, shards)
+	if err != nil {
+		return nil, err
 	}
-	for i, s := range shards {
-		if s.Len() == 0 {
-			return nil, fmt.Errorf("fl: client %d has no data", i)
-		}
+	n := len(shards)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("fl: %d clients exceeds the fleet limit %d", n, math.MaxInt32)
 	}
 	if len(cfg.Devices) > 0 && len(cfg.Devices) != n {
 		return nil, fmt.Errorf("fl: %d device profiles for %d clients", len(cfg.Devices), n)
@@ -132,33 +150,21 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		}
 	}
 
-	root := rng.New(cfg.Seed)
-	params := net.InitParams(root.Derive("init", 0))
+	params := net.InitParams(fc.streams.derive(streamInit, 0))
 	numParams := net.NumParams()
-
-	clients := make([]*client, n)
-	dataSizes := make([]int, n)
-	for i, shard := range shards {
-		clients[i] = &client{
-			id:      i,
-			data:    shard,
-			sampler: dataset.NewSampler(shard, root.Derive("sampler", i)),
-		}
-		dataSizes[i] = shard.Len()
-	}
+	cohort := cfg.maxCohort(n)
 
 	env := &Env{
 		Net:        net,
 		NumClients: n,
 		NumParams:  numParams,
-		DataSizes:  dataSizes,
-		Devices:    cfg.devices(n),
+		Devices:    cfg.Devices,
 		Cfg:        cfg,
 	}
 	// Compose the robust-aggregation stack and server optimizer around
 	// the algorithm (stack.go); a zero-valued AggStack/ServerOpt returns
 	// alg unchanged, keeping the unstacked path untouched.
-	alg, err := wrapStack(alg, &cfg)
+	alg, err = wrapStack(alg, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -169,12 +175,12 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		active[i] = true
 	}
 
-	// Corruption streams derive strictly after every honest stream
-	// (init, samplers, participation below is taken from the same root
-	// before this point in the reference loop — see setupAdversaries),
-	// so declaring adversaries never perturbs honest clients' draws.
-	partRNG := root.Derive("participation", 0)
-	if err := setupAdversaries(&cfg, clients, root); err != nil {
+	// Adversarial clients are built eagerly (O(members)) and compiled
+	// from the adversary block of the stream table, which sits after
+	// every honest sampler and the participation stream, so declaring
+	// adversaries never perturbs honest clients' draws.
+	fc.materialize(advIDs)
+	if err := setupAdversaries(&cfg, fc.clients, fc.streams.cursor(streamAdversary)); err != nil {
 		return nil, err
 	}
 
@@ -184,41 +190,24 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	} else {
 		pool = newSlotPool(net, cfg, n)
 	}
-	if cfg.Compress.Kind != compress.KindNone {
-		// Quantization streams derive after every honest and adversary
-		// stream, so a dense-transport config draws nothing here and
-		// stays bit-identical to the pre-codec engine (the sync golden
-		// pins this).
+	if fc.streams.codec {
 		codec, err := cfg.Compress.Codec()
 		if err != nil {
 			pool.close()
 			return nil, fmt.Errorf("fl: %w", err)
 		}
-		comp := &compressor{
-			codec:   codec,
-			streams: make([]*rng.RNG, n),
-		}
-		if cfg.isF32() {
-			comp.resid32 = make([][]float32, n)
-		} else {
-			comp.resid = make([][]float64, n)
-		}
-		for i := range comp.streams {
-			comp.streams[i] = root.Derive("compress", i)
-		}
-		pool.comp = comp
+		pool.comp = &compressor{codec: codec, f32: cfg.isF32()}
 	}
 
 	baseRound := simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, alg.Costs())
-	// Fault streams derive last of all (after compression), so a
-	// zero-fault config draws nothing here and stays bit-identical to
-	// the fault-free golden.
-	plan := newFaultPlan(&cfg, n, baseRound, root)
+	// Fault streams sit last in the table, so a zero-fault config draws
+	// nothing and stays bit-identical to the fault-free golden.
+	plan := newFaultPlan(&cfg, n, baseRound, fc.streams.cursor(streamFault))
 
 	s := &scheduler{
 		cfg:       cfg,
 		alg:       alg,
-		clients:   clients,
+		fleet:     fc,
 		env:       env,
 		pool:      pool,
 		params:    params,
@@ -229,27 +218,25 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		evalEng:   nn.NewEngine(net, min(256, max(1, test.Len()))),
 		test:      test,
 		baseRound: baseRound,
-		partRNG:   partRNG,
+		partRNG:   fc.streams.derive(streamParticipation, 0),
 		plan:      plan,
-		ids:       make([]int, 0, n),
-		include:   make([]int, 0, n),
-		updates:   make([]Update, n),
-		measured:  make([]float64, n),
+		ids:       make([]int, 0, cohort),
+		include:   make([]int, 0, cohort),
+		updates:   make([]Update, cohort),
+		measured:  make([]float64, cohort),
+	}
+	if cohort < n {
+		s.shuffle = make([]int32, 0, n)
 	}
 	s.exec = pool
 	s.stack, _ = alg.(*stackedAlg)
 	if plan != nil && plan.anyDispatch {
-		s.dupFlags = make([]bool, 0, n)
+		s.dupFlags = make([]bool, 0, cohort)
 		if cfg.Policy == PolicyAsync {
 			s.attempts = make([]int, n)
 		}
 	}
-	for _, c := range clients {
-		if c.corrupt() {
-			s.anyAdv = true
-			break
-		}
-	}
+	s.anyAdv = len(advIDs) > 0
 	if s.anyAdv {
 		s.cumWeights = make([]float64, n)
 	}

@@ -88,9 +88,9 @@ type faultPlan struct {
 }
 
 // newFaultPlan compiles cfg.Faults for n clients, deriving the fault
-// streams from root last of all (after init, samplers, participation,
-// adversary, and compression streams) in client-id order. Returns nil
-// for a zero-fault config, which therefore derives nothing.
+// streams in client-id order from root, positioned at the stream table's
+// fault block (fleet.go). Returns nil for a zero-fault config, which
+// therefore derives nothing.
 func newFaultPlan(cfg *Config, n int, baseRound float64, root *rng.RNG) *faultPlan {
 	if len(cfg.Faults) == 0 {
 		return nil
@@ -169,7 +169,7 @@ func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
 	var elapsed float64
 	for a := 0; ; a++ {
 		start := at + elapsed
-		wait := s.env.Devices[id].Availability.NextAvailable(start) - start
+		wait := s.device(id).Availability.NextAvailable(start) - start
 		base := s.finishDur(id)
 		crash := drawProb(cf.r, cf.crash, start)
 		drop := drawProb(cf.r, cf.drop, start)
@@ -207,9 +207,9 @@ type asyncOutcome struct {
 func (s *scheduler) resolveAsyncDispatch(id int, at float64) asyncOutcome {
 	cf := s.plan.perClient[id]
 	if cf == nil {
-		return asyncOutcome{finish: s.env.Devices[id].Availability.NextAvailable(at) + s.finishDur(id)}
+		return asyncOutcome{finish: s.device(id).Availability.NextAvailable(at) + s.finishDur(id)}
 	}
-	wait := s.env.Devices[id].Availability.NextAvailable(at) - at
+	wait := s.device(id).Availability.NextAvailable(at) - at
 	base := s.finishDur(id)
 	crash := drawProb(cf.r, cf.crash, at)
 	drop := drawProb(cf.r, cf.drop, at)

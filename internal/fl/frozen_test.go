@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/simclock"
+	"repro/internal/vecmath"
 )
 
 // frozenCase is one configuration whose outputs are pinned as literal
@@ -24,8 +25,10 @@ type frozenCase struct {
 	fleet  int // clients, tiled from 100 Dirichlet shards when > 100
 	cfg    func(*Config, float64)
 	rounds int // rounds (server steps) before the checkpoint blob
-	params uint64
-	blob   uint64
+	// want is {params, blob} per amd64 kernel path: [0] the portable kernels
+	// (noasm builds, or CPUs without AVX2+FMA), [1] the AVX2+FMA
+	// assembly, whose float results differ in the last bits.
+	want [2][2]uint64
 }
 
 var frozenCases = []frozenCase{
@@ -38,8 +41,10 @@ var frozenCases = []frozenCase{
 			c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.05}
 		},
 		rounds: 4,
-		params: 0x421381148c42e09e,
-		blob:   0x42f28df0bce49e7b,
+		want: [2][2]uint64{
+			{0x4e106df619c22827, 0xa2ab851b248969b3},
+			{0x421381148c42e09e, 0x42f28df0bce49e7b},
+		},
 	},
 	{
 		name:  "deadline-faults",
@@ -56,8 +61,10 @@ var frozenCases = []frozenCase{
 			c.Quorum = 0.5
 		},
 		rounds: 3,
-		params: 0x525d2a67a7c1aceb,
-		blob:   0x1e98164be3d49d8b,
+		want: [2][2]uint64{
+			{0x4a7dc8dd37743f1a, 0x50bd05d5d30c21a2},
+			{0x525d2a67a7c1aceb, 0x1e98164be3d49d8b},
+		},
 	},
 	{
 		name:  "adversary-mix",
@@ -70,8 +77,10 @@ var frozenCases = []frozenCase{
 			}
 		},
 		rounds: 3,
-		params: 0x928417de7a0a6d53,
-		blob:   0xa4d35dd77929ea70,
+		want: [2][2]uint64{
+			{0xe3adf5cb0551c7de, 0x2ca79a65aefeb4e5},
+			{0x928417de7a0a6d53, 0xa4d35dd77929ea70},
+		},
 	},
 	{
 		name:  "partial-10k-tiled",
@@ -80,8 +89,10 @@ var frozenCases = []frozenCase{
 			c.ParticipationFraction = 0.01
 		},
 		rounds: 3,
-		params: 0xbc3897c7ca8c7e9b,
-		blob:   0xb8a3d1ff628051c6,
+		want: [2][2]uint64{
+			{0x208c1ed017fe3586, 0xdf58fa3cc24c3dae},
+			{0xbc3897c7ca8c7e9b, 0xb8a3d1ff628051c6},
+		},
 	},
 	{
 		name:  "f32-int8",
@@ -92,8 +103,10 @@ var frozenCases = []frozenCase{
 			c.ParticipationFraction = 0.5
 		},
 		rounds: 3,
-		params: 0x7cebf70f0f62f42b,
-		blob:   0x73600120e045adcf,
+		want: [2][2]uint64{
+			{0x136cd5ababdb579f, 0x0f40dd40cd2eca46},
+			{0x7cebf70f0f62f42b, 0x73600120e045adcf},
+		},
 	},
 }
 
@@ -158,9 +171,13 @@ func TestFrozenHashes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.exec.close()
+			want := tc.want[0]
+			if vecmath.Accelerated() {
+				want = tc.want[1]
+			}
 			gotParams, gotBlob := paramsHash(res.FinalParams), blobHash(t, s, tc.rounds)
-			if gotParams != tc.params || gotBlob != tc.blob {
-				t.Fatalf("hashes moved: params %#016x (frozen %#016x), blob %#016x (frozen %#016x)", gotParams, tc.params, gotBlob, tc.blob)
+			if gotParams != want[0] || gotBlob != want[1] {
+				t.Fatalf("hashes moved: params %#016x (frozen %#016x), blob %#016x (frozen %#016x)", gotParams, want[0], gotBlob, want[1])
 			}
 		})
 	}

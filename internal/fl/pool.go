@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/nn"
-	"repro/internal/rng"
 )
 
 // slot bundles the training resources one in-flight local round needs: an
@@ -80,7 +79,7 @@ func (t *roundTask) run(j int, sl *slot) {
 		c.injectDelta(t.cfg, t.updates[j].Delta, t.round, t.now, t.global, t.prevGlobal)
 	}
 	if comp := t.pool.comp; comp != nil {
-		comp.compress(&t.updates[j], sl)
+		comp.compress(&t.updates[j], c, sl)
 	}
 	t.measured[j] = time.Since(start).Seconds()
 	t.updates[j].TrainLoss = c.lastLoss
@@ -137,19 +136,16 @@ type executor interface {
 	close()
 }
 
-// compressor is the slot pool's uplink codec state (DESIGN.md §7): the
-// shared stateless codec plus the per-client mutable pieces — the
+// compressor is the slot pool's uplink codec (DESIGN.md §7): the shared
+// stateless codec, applied with each client's own mutable pieces — the
 // error-feedback residual, allocated lazily on first participation like
 // Scaffold's control variates (nil = zero vector), and the deterministic
-// quantization stream, derived after every honest stream at setup so a
-// codec-free config's draws are untouched. A client is in flight at most
-// once at any instant under every policy, so workers touch disjoint
-// residuals and streams without locking.
+// quantization stream, both kept in the client record. A client is in
+// flight at most once at any instant under every policy, so workers
+// touch disjoint residuals and streams without locking.
 type compressor struct {
-	codec   compress.Codec
-	resid   [][]float64 // error-feedback residuals; nil rows until first use
-	resid32 [][]float32 // fp32 residuals under DType "f32" (resid stays nil)
-	streams []*rng.RNG
+	codec compress.Codec
+	f32   bool // residuals ride the fp32 slot dtype (DType "f32")
 }
 
 // compress runs the error-feedback encode step for one upload on the
@@ -157,27 +153,22 @@ type compressor struct {
 // into the ring buffer's payload, and replaced by the decoded
 // server-visible update; the residual keeps the mass the codec dropped
 // for the client's next round (compress.EncodeEF).
-func (c *compressor) compress(u *Update, sl *slot) {
-	id := u.Client
-	if c.resid32 != nil {
+func (cp *compressor) compress(u *Update, c *client, sl *slot) {
+	if cp.f32 {
 		// fp32 mode: the residual rides the slot dtype — it carries
 		// client-local dropped mass, the same precision class as the
 		// client's training state — while the encode/decode arithmetic
 		// stays float64 on the widened delta (compress.EncodeEF32).
-		e := c.resid32[id]
-		if e == nil {
-			e = make([]float32, len(u.Delta))
-			c.resid32[id] = e
+		if c.resid32 == nil {
+			c.resid32 = make([]float32, len(u.Delta))
 		}
-		compress.EncodeEF32(c.codec, u.Payload, u.Delta, e, c.streams[id], sl.scratch)
+		compress.EncodeEF32(cp.codec, u.Payload, u.Delta, c.resid32, &c.codecRNG, sl.scratch)
 		return
 	}
-	e := c.resid[id]
-	if e == nil {
-		e = make([]float64, len(u.Delta))
-		c.resid[id] = e
+	if c.resid == nil {
+		c.resid = make([]float64, len(u.Delta))
 	}
-	compress.EncodeEF(c.codec, u.Payload, u.Delta, e, c.streams[id], sl.scratch)
+	compress.EncodeEF(cp.codec, u.Payload, u.Delta, c.resid, &c.codecRNG, sl.scratch)
 }
 
 // slotPool decouples per-client identity from per-client training
@@ -207,12 +198,13 @@ type slotPool struct {
 	slots     int
 }
 
-// newSlotPool creates the pool and starts its worker goroutines. Close
-// must be called when the run ends to stop them.
+// newSlotPool creates the pool for a fleet of n clients and starts its
+// worker goroutines; the job queue holds the largest cohort the config
+// can dispatch. Close must be called when the run ends to stop them.
 func newSlotPool(net *nn.Network, cfg Config, n int) *slotPool {
 	workers := min(cfg.parallelism(), n)
 	p := &slotPool{
-		jobs:      make(chan int, n),
+		jobs:      make(chan int, cfg.maxCohort(n)),
 		numParams: net.NumParams(),
 		slots:     workers,
 	}

@@ -69,6 +69,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		faults   []fault.Spec
 		quorum   float64
 		stacked  bool
+		partial  float64
 	}{
 		{name: "", adv: false},
 		{name: "-injectors", adv: true},
@@ -83,9 +84,17 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// Stack + injectors exercises the weight re-map path with the
 		// honest/corrupt mass accounting live every round.
 		{name: "-stack-injectors", stacked: true, adv: true},
+		// Partial participation samples the cohort into reused buffers
+		// and builds each client on its first participation; once every
+		// client is built, a round allocates nothing.
+		{name: "-partial", partial: 0.5},
+		{name: "-partial-topk", partial: 0.5, compress: compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.1}},
 	}
 	for _, v := range variants {
 		for _, policy := range []AggregationPolicy{PolicySync, PolicyDeadline, PolicyAsync} {
+			if v.partial > 0 && policy == PolicyAsync {
+				continue // async clients train continuously: no cohort sampling
+			}
 			name := policy.String() + v.name
 			t.Run(name, func(t *testing.T) {
 				cfg := Config{
@@ -97,6 +106,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 					EvalEvery:  1000,
 					Policy:     policy,
 					Compress:   v.compress,
+
+					ParticipationFraction: v.partial,
 				}
 				if v.adv {
 					cfg.Adversaries = injectors
@@ -141,7 +152,20 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 				// Warm up: first rounds grow the delta ring, the engines'
 				// backward buffers, and the metric history's capacity.
-				for ; round < 5; round++ {
+				// Partial participation keeps warming up until every client
+				// has been built (and has trained at least once).
+				built := func() bool {
+					for _, c := range s.fleet.clients {
+						if c == nil {
+							return false
+						}
+					}
+					return true
+				}
+				for ; round < 5 || !built(); round++ {
+					if round == 100 {
+						t.Fatal("100 warmup rounds did not build every client")
+					}
 					if halt, err := step(); err != nil || halt {
 						t.Fatalf("warmup round %d: halt=%v err=%v", round, halt, err)
 					}

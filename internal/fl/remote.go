@@ -55,8 +55,8 @@ func validateWire(cfg *Config, alg Algorithm) error {
 }
 
 // serveFingerprint hashes everything that must agree between the server
-// and a worker for their replayed rng derivations and local training to
-// be bit-identical: the training config, the codec, the algorithm, and
+// and a worker for their client streams and local training to be
+// bit-identical: the training config, the codec, the algorithm, and
 // the data geometry. Workers send it in Hello; a mismatch is rejected
 // before any training happens.
 func serveFingerprint(cfg *Config, algName, dsName string, numClients, numParams int) uint64 {

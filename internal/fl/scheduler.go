@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/simclock"
 	"repro/internal/vecmath"
 )
 
@@ -33,11 +34,11 @@ import (
 // the upload deltas (slot-pool ring, pool.go) are all owned by the
 // scheduler and reused round over round (pinned by TestSteadyStateAllocs).
 type scheduler struct {
-	cfg     Config
-	alg     Algorithm
-	clients []*client
-	env     *Env
-	pool    *slotPool
+	cfg   Config
+	alg   Algorithm
+	fleet *fleet
+	env   *Env
+	pool  *slotPool
 	// exec runs dispatched local rounds: the slot pool itself for an
 	// in-process run, the remote executor for a wire run (serve.go). Every
 	// scheduling path goes through it; s.pool remains for the ring-and-
@@ -57,11 +58,15 @@ type scheduler struct {
 	baseRound float64
 	partRNG   *rng.RNG
 
-	// Reusable per-round state (capacity n, sliced per round).
+	// Reusable per-round state, sized to the largest cohort the config
+	// can dispatch (Config.maxCohort) and sliced per round. shuffle holds
+	// the active IDs partial participation samples from (nil under full
+	// participation, where the cohort is every active client).
 	ids      []int
 	include  []int
 	updates  []Update
 	measured []float64
+	shuffle  []int32
 	server   ServerCtx
 	oneID    [1]int
 	// now is the virtual clock (modeled seconds since the run started).
@@ -126,30 +131,44 @@ type scheduler struct {
 
 // participants collects the round's participating clients in ID order
 // into the scheduler's reusable ids buffer, applying the partial-
-// participation sampler, and errors when every client has been expelled.
+// participation sampler, builds any client participating for the first
+// time, and errors when every client has been expelled. The sampler
+// shuffles the active IDs in place with exactly the draws
+// SampleWithoutReplacement's Perm makes and keeps the first take, so it
+// picks the clients the reference loop picks without allocating.
 func (s *scheduler) participants(t int) ([]int, error) {
-	ids := s.ids[:0]
-	for i := range s.clients {
-		if s.active[i] {
-			ids = append(ids, i)
+	var ids []int
+	if s.shuffle == nil {
+		ids = appendActive(s.ids[:0], s.active)
+	} else {
+		pool := appendActive(s.shuffle[:0], s.active)
+		if len(pool) > 0 {
+			take := max(int(s.cfg.ParticipationFraction*float64(len(pool))+0.5), 1)
+			rng.ShuffleInto(s.partRNG, pool)
+			pool = pool[:take]
+			slices.Sort(pool)
+		}
+		ids = s.ids[:len(pool)]
+		for j, id := range pool {
+			ids[j] = int(id)
 		}
 	}
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("fl: all clients expelled by round %d", t)
 	}
-	if f := s.cfg.ParticipationFraction; f > 0 && f < 1 {
-		take := max(int(f*float64(len(ids))+0.5), 1)
-		picked := s.partRNG.SampleWithoutReplacement(len(ids), take)
-		sort.Ints(picked)
-		for j, p := range picked {
-			// picked is sorted ascending, so ids[p] is never overwritten
-			// before it is read: in-place compaction is safe.
-			ids[j] = ids[p]
-		}
-		ids = ids[:take]
-	}
-	s.ids = ids[:0]
+	s.fleet.materialize(ids)
 	return ids, nil
+}
+
+// appendActive appends the IDs of the active clients to dst in ascending
+// order.
+func appendActive[T int | int32](dst []T, active []bool) []T {
+	for i, a := range active {
+		if a {
+			dst = append(dst, T(i))
+		}
+	}
+	return dst
 }
 
 // aggregate runs one server step over updates: snapshot w^t, apply the
@@ -268,7 +287,7 @@ func (s *scheduler) recordAccuracy(t int, rec *metrics.Round) {
 func (s *scheduler) slowestHonest(ids []int, measured []float64, at float64) float64 {
 	var slowest float64
 	for j, id := range ids {
-		if s.clients[id].fabricatorAt(at) != nil {
+		if s.fleet.clients[id].fabricatorAt(at) != nil {
 			continue
 		}
 		if measured[j] > slowest {
@@ -476,7 +495,7 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 		for _, id := range ids {
 			out := s.resolveDispatch(id, s.now)
 			roundRetries += out.retries
-			if s.clients[id].fabricatorAt(s.now) == nil && out.rel > slowestModeled {
+			if s.fleet.clients[id].fabricatorAt(s.now) == nil && out.rel > slowestModeled {
 				slowestModeled = out.rel
 			}
 			if !out.delivered {
@@ -497,7 +516,7 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 	updates := s.updates[:len(include)]
 	measured := s.measured[:len(include)]
 	if len(include) > 0 {
-		if err := s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
+		if err := s.exec.runRound(&s.cfg, s.alg, s.fleet.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
 			return false, err
 		}
 		if err := s.exec.settle(updates, measured); err != nil {
@@ -518,7 +537,7 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 	if !faulty {
 		// The synchronous server waits for the slowest honest device.
 		for _, id := range ids {
-			if s.clients[id].fabricatorAt(s.now) != nil {
+			if s.fleet.clients[id].fabricatorAt(s.now) != nil {
 				continue
 			}
 			if m := s.finishRel(id, s.now); m > slowestModeled {
@@ -576,7 +595,7 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 // always-available device yields exactly finishDur (no now+dur−now
 // round trip), which the sync golden test depends on.
 func (s *scheduler) finishRel(id int, now float64) float64 {
-	wait := s.env.Devices[id].Availability.NextAvailable(now) - now
+	wait := s.device(id).Availability.NextAvailable(now) - now
 	return wait + s.finishDur(id)
 }
 
@@ -665,7 +684,7 @@ func (s *scheduler) deadlineRound(t int) (halt bool, err error) {
 	measured := s.measured[:len(include)]
 	lostN := 0
 	if len(include) > 0 {
-		if err := s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
+		if err := s.exec.runRound(&s.cfg, s.alg, s.fleet.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
 			return false, err
 		}
 		if err := s.exec.settle(updates, measured); err != nil {
@@ -758,14 +777,14 @@ type flight struct {
 func (s *scheduler) dispatch(ids []int, at float64) error {
 	updates := s.updates[:len(ids)]
 	measured := s.measured[:len(ids)]
-	if err := s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured); err != nil {
+	if err := s.exec.runRound(&s.cfg, s.alg, s.fleet.clients, ids, s.version, at, s.params, s.wPrev, updates, measured); err != nil {
 		return err
 	}
 	for j, id := range ids {
 		f := flight{
 			update:   updates[j],
 			measured: measured[j],
-			finish:   s.env.Devices[id].Availability.NextAvailable(at) + s.finishDur(id),
+			finish:   s.device(id).Availability.NextAvailable(at) + s.finishDur(id),
 			version:  s.version,
 			live:     true,
 		}
@@ -783,7 +802,7 @@ func (s *scheduler) dispatch(ids []int, at float64) error {
 
 // setupAsync initializes the async state and dispatches the first wave.
 func (s *scheduler) setupAsync() error {
-	s.pending = make([]flight, len(s.clients))
+	s.pending = make([]flight, len(s.active))
 	s.buffer = make([]Update, 0, s.cfg.asyncBuffer())
 	ids, err := s.participants(0)
 	if err != nil {
@@ -853,7 +872,7 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 			// fresh once its retry budget is exhausted.
 			s.exec.release(&f.update)
 			s.failStreak++
-			if s.failStreak > (s.plan.retries+2)*max(64, 8*len(s.clients)) {
+			if s.failStreak > (s.plan.retries+2)*max(64, 8*len(s.active)) {
 				return false, fmt.Errorf("fl: faults starved the async buffer at step %d (%d consecutive failed dispatches)", t, s.failStreak)
 			}
 			attempt := f.attempt
@@ -957,5 +976,15 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 // time stays near zero, and the sync policy's slowest-client metrics
 // exclude them as before.)
 func (s *scheduler) finishDur(id int) float64 {
-	return s.env.Devices[id].Seconds(s.baseRound)
+	return s.device(id).Seconds(s.baseRound)
+}
+
+// device returns client id's device profile: the configured fleet's
+// entry, or the nominal always-available device when the config left the
+// fleet empty (uniform, so no per-client profile table is built).
+func (s *scheduler) device(id int) simclock.DeviceProfile {
+	if s.cfg.Devices == nil {
+		return simclock.DeviceProfile{SpeedFactor: 1}
+	}
+	return s.cfg.Devices[id]
 }

@@ -95,8 +95,9 @@ func (o ServeOptions) grace() float64 {
 //
 // The run is bit-identical to fl.Run with the same arguments — final
 // weights, per-round losses, accuracies, and uplink accounting — because
-// workers replay the exact rng derivation order of the in-process engine
-// (worker.go) and every scheduling decision stays on the server. Only
+// workers build their clients from the same rng stream table as the
+// in-process engine (fleet.go) and every scheduling decision stays on
+// the server. Only
 // measured wall times differ (they are real observations either way).
 // Configurations the wire cannot execute faithfully are rejected up
 // front (validateWire).

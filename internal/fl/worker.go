@@ -7,10 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/dataset"
 	"repro/internal/nn"
-	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -47,31 +45,28 @@ func RunWorker(conn net.Conn, index, workers int, cfg Config, alg Algorithm, net
 }
 
 // RunWorkerOpts executes the client side of a wire run (cmd/flserver
-// -mode worker): it replays the engine's rng derivation order from the
-// shared seed, announces itself with the config fingerprint, and then
-// trains every dispatched batch on an in-process slot pool, streaming
-// the results back as Updates frames. The connection is closed when it
-// returns.
+// -mode worker): it builds the run's stream table from the shared seed,
+// announces itself with the config fingerprint, and then trains every
+// dispatched batch on an in-process slot pool, streaming the results
+// back as Updates frames. The connection is closed when it returns.
 //
-// Bit-identity with fl.Run rests on the derivation ORDER contract
-// (newSchedulerExec): the worker derives init, then every client
-// sampler, then participation, then every compression stream — exactly
-// the in-process sequence — and discards the streams the server owns
-// (init, participation). Adversary and fault streams derive after these
-// on the server, so skipping them here leaves every worker-held stream
-// bit-identical to its in-process twin. Given identical streams and
-// identical training code, every delta, loss, and encoded payload
-// matches the in-process run to the bit.
+// Bit-identity with fl.Run rests on the stream table (fleet.go): a
+// dispatched client is built from the same (seed, draw index) as its
+// in-process twin — sampler and quantization streams alike — and the
+// streams the server owns (init, participation, adversary, fault) are
+// simply never read here. Given identical streams and identical
+// training code, every delta, loss, and encoded payload matches the
+// in-process run to the bit.
 //
-// Failover (DESIGN.md §12) extends the contract across worker loss: the
-// worker derives streams for ALL n clients but only advances the ones it
-// trains, so the server can move a dead worker's clients onto a survivor
-// by replaying their full dispatch history as Adopt frames (train and
-// discard — each replayed batch advances the sampler and quantization
-// streams exactly as the original training did). A Restore frame resets
-// the worker to its freshly-started state (fresh root, empty residuals)
-// so the same replay mechanism serves a server restarting from a
-// checkpoint behind live workers.
+// Failover (DESIGN.md §12) extends the contract across worker loss: any
+// client can be built on any worker, and a client's streams advance only
+// when it trains, so the server can move a dead worker's clients onto a
+// survivor by replaying their full dispatch history as Adopt frames
+// (train and discard — each replayed batch advances the sampler and
+// quantization streams exactly as the original training did). A Restore
+// frame forgets every built client — the worker's freshly-started state,
+// fresh streams and empty residuals — so the same replay mechanism
+// serves a server restarting from a checkpoint behind live workers.
 func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, network *nn.Network, shards []*dataset.Dataset, dsName string) error {
 	defer conn.Close()
 	if err := cfg.Validate(); err != nil {
@@ -87,66 +82,34 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 	n := len(shards)
 	fp := serveFingerprint(&cfg, alg.Name(), dsName, n, network.NumParams())
 
+	fc, _, err := newFleet(&cfg, shards)
+	if err != nil {
+		return err
+	}
 	env := &Env{
 		Net:        network,
 		NumClients: n,
 		NumParams:  network.NumParams(),
-		DataSizes:  make([]int, n),
-		Devices:    cfg.devices(n),
+		Devices:    cfg.Devices,
 		Cfg:        cfg,
 	}
-	for i, shard := range shards {
-		if shard.Len() == 0 {
-			return fmt.Errorf("fl: client %d has no data", i)
-		}
-		env.DataSizes[i] = shard.Len()
-	}
-	alg, err := wrapStack(alg, &cfg)
+	alg, err = wrapStack(alg, &cfg)
 	if err != nil {
 		return err
 	}
 	alg.Setup(env)
 
-	// The pool is sized for the whole fleet, not just the initially owned
-	// range: failover can adopt any client onto this worker.
+	// The pool serves the whole fleet, not just the initially owned range
+	// (failover can adopt any client onto this worker), but every
+	// dispatch carries at most one round's cohort.
 	pool := newSlotPool(network, cfg, n)
 	defer pool.close()
-
-	clients := make([]*client, n)
-	// reset (re)builds every client-held rng stream by replaying the
-	// derivation order from a fresh root — the worker's freshly-started
-	// state, which a Restore frame rewinds to before a history replay.
-	reset := func() error {
-		root := rng.New(cfg.Seed)
-		_ = root.Derive("init", 0)
-		for i, shard := range shards {
-			clients[i] = &client{
-				id:      i,
-				data:    shard,
-				sampler: dataset.NewSampler(shard, root.Derive("sampler", i)),
-			}
+	if fc.streams.codec {
+		codec, err := cfg.Compress.Codec()
+		if err != nil {
+			return fmt.Errorf("fl: %w", err)
 		}
-		_ = root.Derive("participation", 0)
-		if cfg.Compress.Kind != compress.KindNone {
-			codec, err := cfg.Compress.Codec()
-			if err != nil {
-				return fmt.Errorf("fl: %w", err)
-			}
-			comp := &compressor{codec: codec, streams: make([]*rng.RNG, n)}
-			if cfg.isF32() {
-				comp.resid32 = make([][]float32, n)
-			} else {
-				comp.resid = make([][]float64, n)
-			}
-			for i := range comp.streams {
-				comp.streams[i] = root.Derive("compress", i)
-			}
-			pool.comp = comp
-		}
-		return nil
-	}
-	if err := reset(); err != nil {
-		return err
+		pool.comp = &compressor{codec: codec, f32: cfg.isF32()}
 	}
 
 	w := &workerLoop{conn: conn, fp: fp, heartbeat: opt.HeartbeatSec, timeoutFactor: cfg.faultTimeoutFactor()}
@@ -161,17 +124,16 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 	go w.readLoop()
 
 	wbuf := hello
-	updates := make([]Update, n)
-	measured := make([]float64, n)
+	cohort := cfg.maxCohort(n)
+	updates := make([]Update, cohort)
+	measured := make([]float64, cohort)
 	for {
 		m, ok := w.next()
 		if !ok {
 			break
 		}
 		if m.restore {
-			if err := reset(); err != nil {
-				return err
-			}
+			fc.reset()
 			continue
 		}
 		k := len(m.ids)
@@ -180,12 +142,13 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 				return fmt.Errorf("fl: dispatched client %d outside fleet [0,%d)", id, n)
 			}
 		}
-		if k > n {
-			// A client is in flight at most once under every policy, so a
-			// batch larger than the fleet is a protocol violation.
-			return fmt.Errorf("fl: dispatch of %d clients exceeds fleet size %d", k, n)
+		if k > cohort {
+			// A dispatch carries part of one round's cohort, so a larger
+			// batch is a protocol violation.
+			return fmt.Errorf("fl: dispatch of %d clients exceeds the largest cohort %d", k, cohort)
 		}
-		if err := pool.runRound(&cfg, alg, clients, m.ids, m.round, 0, m.global, m.global, updates[:k], measured[:k]); err != nil {
+		fc.materialize(m.ids)
+		if err := pool.runRound(&cfg, alg, fc.clients, m.ids, m.round, 0, m.global, m.global, updates[:k], measured[:k]); err != nil {
 			return err
 		}
 		if m.adopt {

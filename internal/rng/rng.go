@@ -11,26 +11,39 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
 // RNG is a deterministic random source with the distribution samplers this
 // repository needs beyond math/rand/v2. It retains its underlying PCG so
 // the stream cursor can be checkpointed (MarshalBinary) and restored
-// (UnmarshalBinary) for bit-identical resume.
+// (UnmarshalBinary) for bit-identical resume. The PCG lives inside the
+// struct and src draws from it, so an RNG is one allocation and can be
+// embedded in a longer-lived record (Reset seeds it in place); it must
+// not be copied once seeded.
 type RNG struct {
-	src *rand.Rand
-	pcg *rand.PCG
+	pcg rand.PCG
+	src rand.Rand
 }
+
+// golden is the second PCG word's fixed offset from the seed, so that
+// nearby seeds still produce decorrelated streams.
+const golden = 0x9e3779b97f4a7c15
 
 // New returns an RNG seeded with the given seed.
 func New(seed uint64) *RNG {
-	// The second PCG word is a fixed golden-ratio constant so that nearby
-	// seeds still produce decorrelated streams.
-	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
-	return &RNG{src: rand.New(pcg), pcg: pcg}
+	r := new(RNG)
+	r.Reset(seed)
+	return r
+}
+
+// Reset re-seeds r in place: afterwards it draws exactly the stream
+// New(seed) would.
+func (r *RNG) Reset(seed uint64) {
+	r.pcg.Seed(seed, seed^golden)
+	r.src = *rand.New(&r.pcg)
 }
 
 // MarshalBinary captures the stream cursor. Every sampler in this package
@@ -43,21 +56,100 @@ func (r *RNG) MarshalBinary() ([]byte, error) { return r.pcg.MarshalBinary() }
 func (r *RNG) UnmarshalBinary(data []byte) error { return r.pcg.UnmarshalBinary(data) }
 
 // Derive returns a new independent RNG whose stream is a pure function of
-// this RNG's original seed is NOT used; instead the label alone plus the
-// parent's next value determine the child stream. To keep parallel client
-// execution deterministic, call Derive for all children before any of them
-// starts consuming randomness.
+// the label, the index, and this RNG's next draw (the parent advances by
+// exactly one Uint64). To keep parallel client execution deterministic,
+// call Derive for all children before any of them starts consuming
+// randomness — or compute a child directly from its draw index with
+// DeriveSeed.
 func (r *RNG) Derive(label string, index int) *RNG {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
-	var buf [8]byte
+	return New(r.src.Uint64() ^ mix(label, index))
+}
+
+// DeriveSeed returns the seed of the child that Derive(label, index)
+// would return if called on New(seed) after exactly k draws, in O(log k)
+// steps: New(DeriveSeed(seed, k, label, index)) is that child.
+func DeriveSeed(seed, k uint64, label string, index int) uint64 {
+	return DrawAt(seed, k) ^ mix(label, index)
+}
+
+// DrawAt returns the k-th (0-based) Uint64 of New(seed)'s stream without
+// drawing the k before it. Each draw of math/rand/v2's PCG is one step of
+// a 128-bit LCG followed by the DXSM output function, so the state after
+// k steps has a closed form computed by square-and-multiply (Brown 1994,
+// "Random Number Generation with Arbitrary Strides"). The skipped state is
+// loaded into a stdlib PCG, whose own Uint64 takes the final step and
+// applies the output function.
+func DrawAt(seed, k uint64) uint64 {
+	hi, lo := skip(seed, seed^golden, k)
+	var p rand.PCG
+	p.Seed(hi, lo)
+	return p.Uint64()
+}
+
+// NewAt returns the stream New(seed) continues with after k draws.
+func NewAt(seed, k uint64) *RNG {
+	r := New(seed)
+	r.pcg.Seed(skip(seed, seed^golden, k))
+	return r
+}
+
+// The LCG of math/rand/v2's PCG (pcg.go): state ← state·mul + inc mod 2¹²⁸.
+const (
+	lcgMulHi = 2549297995355413924
+	lcgMulLo = 4865540595714422341
+	lcgIncHi = 6364136223846793005
+	lcgIncLo = 1442695040888963407
+)
+
+// mul128 and add128 are 128-bit arithmetic mod 2¹²⁸ on (hi, lo) pairs.
+func mul128(ahi, alo, bhi, blo uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(alo, blo)
+	hi += ahi*blo + alo*bhi
+	return hi, lo
+}
+
+func add128(ahi, alo, bhi, blo uint64) (hi, lo uint64) {
+	lo, c := bits.Add64(alo, blo, 0)
+	hi, _ = bits.Add64(ahi, bhi, c)
+	return hi, lo
+}
+
+// skip advances the LCG state (hi, lo) by k steps in O(log k): it folds
+// the k-step affine map (mul^k, inc·(mul^k−1)/(mul−1)) out of the
+// repeated squares of the one-step map.
+func skip(hi, lo, k uint64) (uint64, uint64) {
+	accMulHi, accMulLo := uint64(0), uint64(1)
+	var accIncHi, accIncLo uint64
+	curMulHi, curMulLo := uint64(lcgMulHi), uint64(lcgMulLo)
+	curIncHi, curIncLo := uint64(lcgIncHi), uint64(lcgIncLo)
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			accMulHi, accMulLo = mul128(accMulHi, accMulLo, curMulHi, curMulLo)
+			accIncHi, accIncLo = mul128(accIncHi, accIncLo, curMulHi, curMulLo)
+			accIncHi, accIncLo = add128(accIncHi, accIncLo, curIncHi, curIncLo)
+		}
+		// One-step map composed with itself: (m, c) ∘ (m, c) = (m², c·(m+1)).
+		mp1Hi, mp1Lo := add128(curMulHi, curMulLo, 0, 1)
+		curIncHi, curIncLo = mul128(curIncHi, curIncLo, mp1Hi, mp1Lo)
+		curMulHi, curMulLo = mul128(curMulHi, curMulLo, curMulHi, curMulLo)
+	}
+	hi, lo = mul128(accMulHi, accMulLo, hi, lo)
+	return add128(hi, lo, accIncHi, accIncLo)
+}
+
+// mix is the FNV-1a hash of label followed by index as 8 little-endian
+// bytes — the per-child salt Derive folds into the parent's draw.
+func mix(label string, index int) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * prime
+	}
 	v := uint64(index)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h = (h ^ (v >> (8 * i) & 0xff)) * prime
 	}
-	_, _ = h.Write(buf[:])
-	mix := h.Sum64()
-	return New(r.src.Uint64() ^ mix)
+	return h
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
@@ -74,6 +166,19 @@ func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+
+// ShuffleInto permutes p in place with exactly the swaps and draws
+// Perm(len(p)) makes: on p = [0, n) it leaves p equal to Perm(n) and the
+// stream where Perm would, without allocating. On any other contents it
+// leaves p[i] = old p[Perm(n)[i]].
+func ShuffleInto[T any](r *RNG, p []T) {
+	// rand.Rand.Shuffle's Fisher–Yates loop, with its swap callback
+	// inlined: Uint64N is the same bounded draw Shuffle makes.
+	for i := len(p) - 1; i > 0; i-- {
+		j := r.src.Uint64N(uint64(i + 1))
+		p[i], p[j] = p[j], p[i]
+	}
+}
 
 // Normal returns a Gaussian sample with the given mean and standard
 // deviation.

@@ -216,3 +216,75 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestDrawAtMatchesSequential pins the jump-ahead: the k-th draw computed
+// in O(log k) equals the k-th of k+1 sequential Uint64 draws, and NewAt
+// continues exactly where the sequential stream stands.
+func TestDrawAtMatchesSequential(t *testing.T) {
+	ks := []uint64{0, 1, 2, 3, 1000, 999999}
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, ^uint64(0)} {
+		seq := New(seed)
+		var drawn uint64
+		for _, k := range ks {
+			for ; drawn < k; drawn++ {
+				seq.Uint64()
+			}
+			at := NewAt(seed, k)
+			want, _ := seq.MarshalBinary()
+			got, _ := at.MarshalBinary()
+			if string(want) != string(got) {
+				t.Fatalf("seed %#x k %d: NewAt cursor %x, sequential %x", seed, k, got, want)
+			}
+			v := DrawAt(seed, k)
+			if w := seq.Uint64(); v != w {
+				t.Fatalf("seed %#x k %d: DrawAt %#x, sequential %#x", seed, k, v, w)
+			}
+			drawn++
+			if a := at.Uint64(); a != v {
+				t.Fatalf("seed %#x k %d: NewAt's next draw %#x, want %#x", seed, k, a, v)
+			}
+		}
+	}
+}
+
+// TestDeriveSeedMatchesDerive pins that a child computed from its draw
+// index is the child sequential Derive calls hand out.
+func TestDeriveSeedMatchesDerive(t *testing.T) {
+	root := New(7)
+	for k := 0; k < 50; k++ {
+		want := root.Derive("sampler", k)
+		got := New(DeriveSeed(7, uint64(k), "sampler", k))
+		for i := 0; i < 4; i++ {
+			if a, b := want.Uint64(), got.Uint64(); a != b {
+				t.Fatalf("child %d draw %d: DeriveSeed %#x, Derive %#x", k, i, b, a)
+			}
+		}
+	}
+}
+
+// TestShuffleIntoMatchesPerm pins the allocation-free shuffle against
+// Rand.Perm: same permutation, same stream cursor afterwards.
+func TestShuffleIntoMatchesPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 17, 100000} {
+		a, b := New(uint64(n)), New(uint64(n))
+		want := a.Perm(n)
+		got := make([]int32, n)
+		for i := range got {
+			got[i] = int32(i)
+		}
+		ShuffleInto(b, got)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("n=%d: position %d is %d, Perm has %d", n, i, got[i], want[i])
+			}
+		}
+		ca, _ := a.MarshalBinary()
+		cb, _ := b.MarshalBinary()
+		if string(ca) != string(cb) {
+			t.Fatalf("n=%d: cursor after ShuffleInto %x, after Perm %x", n, cb, ca)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { ShuffleInto(b, got) }); allocs != 0 {
+			t.Fatalf("n=%d: ShuffleInto allocates %.0f objects", n, allocs)
+		}
+	}
+}

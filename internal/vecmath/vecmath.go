@@ -255,3 +255,8 @@ func AllFinite(x []float64) bool {
 	}
 	return true
 }
+
+// Accelerated reports whether the AVX2+FMA assembly kernels are in use.
+// Their results differ from the portable kernels' in the last bits, so
+// tests that pin literal output hashes record one value per kernel path.
+func Accelerated() bool { return useAVX }
