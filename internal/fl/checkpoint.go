@@ -485,8 +485,7 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 	}
 	if isAsync {
 		if s.pending == nil {
-			s.pending = make([]flight, len(f.clients))
-			s.buffer = make([]Update, 0, s.cfg.asyncBuffer())
+			s.initAsync()
 		}
 		for id := range s.pending {
 			// Drop any current in-flight state; restored flights get
@@ -574,6 +573,7 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 				}
 			}
 		}
+		s.arrivals.rebuild(s.pending)
 		s.buffer = s.buffer[:0]
 		s.bufMeasured = 0
 	}

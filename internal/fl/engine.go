@@ -224,6 +224,7 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		include:   make([]int, 0, cohort),
 		updates:   make([]Update, cohort),
 		measured:  make([]float64, cohort),
+		at:        make([]float64, cohort),
 	}
 	if cohort < n {
 		s.shuffle = make([]int32, 0, n)

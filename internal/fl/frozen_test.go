@@ -13,16 +13,18 @@ import (
 )
 
 // frozenCase is one configuration whose outputs are pinned as literal
-// hashes recorded before the lazy-fleet refactor: the FNV-1a of the final
-// parameters of a full Run, and the FNV-1a of a checkpoint blob taken
-// after a few rounds. The referenceRun golden covers only the sync
+// hashes recorded on the code before a refactor (the lazy fleet, then
+// batched async dispatch): the FNV-1a of the final parameters of a full
+// Run, and the FNV-1a of a checkpoint blob taken after a few rounds. The referenceRun golden covers only the sync
 // policy over a small fleet; these pin the paths it does not reach
 // (async + codec, deadline + faults, adversaries, large tiled fleets,
 // fp32), so a refactor that moves the in-process path and its serve twin
 // together still cannot pass unnoticed.
 type frozenCase struct {
-	name   string
-	fleet  int // clients, tiled from 100 Dirichlet shards when > 100
+	name  string
+	fleet int // clients, tiled from 100 Dirichlet shards when > 100
+	// alg names the algorithm in FrozenAlgorithms; empty runs goldenFedAvg.
+	alg    string
 	cfg    func(*Config, float64)
 	rounds int // rounds (server steps) before the checkpoint blob
 	// want is {params, blob} per amd64 kernel path: [0] the portable kernels
@@ -44,6 +46,70 @@ var frozenCases = []frozenCase{
 		want: [2][2]uint64{
 			{0x4e106df619c22827, 0xa2ab851b248969b3},
 			{0x421381148c42e09e, 0x42f28df0bce49e7b},
+		},
+	},
+	// The three async cases below were recorded before arrivals were
+	// batched: they pin what the batch boundaries must not move —
+	// Scaffold's EndLocal-before-Aggregate order, fault outcomes and
+	// backoff dispatch times fixed at dispatch, and each job's own
+	// dispatch time gating its adversary windows.
+	{
+		name:  "async-scaffold",
+		fleet: 12,
+		alg:   "scaffold",
+		cfg: func(c *Config, _ float64) {
+			c.Policy = PolicyAsync
+			c.AsyncBuffer = 4
+			c.Devices = simclock.MildFleet(12, 5)
+		},
+		rounds: 4,
+		want: [2][2]uint64{
+			{0xe4028e8f180dbd5c, 0xcef7f2dede364634},
+			{0x6cecfbe2b46cee4f, 0xd09b76c6d73d2abe},
+		},
+	},
+	{
+		name:  "async-taco-faults",
+		fleet: 12,
+		alg:   "taco",
+		cfg: func(c *Config, _ float64) {
+			c.Policy = PolicyAsync
+			c.AsyncBuffer = 3
+			c.Devices = simclock.MildFleet(12, 6)
+			c.Faults = []fault.Spec{
+				{Kind: fault.KindCrash, Frac: 0.25},
+				{Kind: fault.KindDrop, Frac: 0.15},
+				{Kind: fault.KindDup, Frac: 0.3},
+				{Kind: fault.KindSlow, Frac: 0.3, Param: 4},
+			}
+			c.FaultRetries = 3
+		},
+		rounds: 4,
+		want: [2][2]uint64{
+			{0xba468359707b7c0d, 0x35d2a454c011d2ad},
+			{0xa1ad12d352588ef2, 0xee32018876566f69},
+		},
+	},
+	{
+		name:  "async-adversary-window",
+		fleet: 12,
+		cfg: func(c *Config, nominal float64) {
+			c.Rounds = 10
+			c.Policy = PolicyAsync
+			c.AsyncBuffer = 5
+			c.Devices = simclock.MildFleet(12, 7)
+			c.Freeloaders = []int{10}
+			win := simclock.Trace{PeriodSec: 0.7 * nominal, OnFraction: 0.5, OffsetSec: 0.2 * nominal}
+			c.Adversaries = []adversary.Spec{
+				{Kind: adversary.KindLabelFlip, Clients: []int{1, 2, 5, 8}, Window: win},
+				{Kind: adversary.KindScale, Clients: []int{4, 5, 9}, Scale: 3, Window: win},
+				{Kind: adversary.KindFreeloader, Clients: []int{3, 11}, Window: simclock.Trace{PeriodSec: 0.9 * nominal, OnFraction: 0.5}},
+			}
+		},
+		rounds: 6,
+		want: [2][2]uint64{
+			{0xcb9856cfce3d91e6, 0xdca3ca32b9394865},
+			{0x83fbe8a44e7f3943, 0xfeb0bb48ed79ca54},
 		},
 	},
 	{
@@ -110,6 +176,11 @@ var frozenCases = []frozenCase{
 	},
 }
 
+// FrozenAlgorithms supplies the real algorithms frozen cases name.
+// baselines and core import this package, so its internal tests cannot;
+// the external test package registers them (frozen_algs_test.go).
+var FrozenAlgorithms = map[string]func() Algorithm{}
+
 // blobHash runs the case's first rounds on a white-box scheduler, zeroes
 // the wall-clock fields (real measured seconds, the only nondeterministic
 // bytes a checkpoint carries), snapshots, and hashes the blob.
@@ -148,7 +219,7 @@ func blobHash(t *testing.T, s *scheduler, rounds int) uint64 {
 }
 
 // TestFrozenHashes pins final parameters and one mid-run checkpoint blob
-// per case against constants recorded before the lazy-fleet refactor.
+// per case against constants recorded before the refactor they guard.
 func TestFrozenHashes(t *testing.T) {
 	for _, tc := range frozenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,12 +232,19 @@ func TestFrozenHashes(t *testing.T) {
 			cfg := Config{Rounds: 6, LocalSteps: 3, BatchSize: 8, LocalLR: 0.05, Seed: 23, EvalEvery: 3}
 			nominal := simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, simclock.Plain())
 			tc.cfg(&cfg, nominal)
+			newAlg := func() Algorithm { return goldenFedAvg{} }
+			if tc.alg != "" {
+				newAlg = FrozenAlgorithms[tc.alg]
+				if newAlg == nil {
+					t.Fatalf("algorithm %q not registered in FrozenAlgorithms", tc.alg)
+				}
+			}
 
-			res, err := Run(cfg, goldenFedAvg{}, net, fleet, test)
+			res, err := Run(cfg, newAlg(), net, fleet, test)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := newScheduler(cfg, goldenFedAvg{}, net, fleet, test)
+			s, err := newScheduler(cfg, newAlg(), net, fleet, test)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,7 @@ type slot struct {
 }
 
 // roundTask is the work description shared by every job of one
-// runLocalRounds call. It lives inside the pool so submitting a round
+// runBatch call. It lives inside the pool so submitting a round
 // writes plain struct fields instead of allocating a closure per round.
 type roundTask struct {
 	cfg        *Config
@@ -50,9 +50,10 @@ type roundTask struct {
 	prevGlobal []float64
 	updates    []Update
 	measured   []float64
-	// now is the modeled dispatch time, which gates window-activated
-	// corruption (adversary.go).
-	now float64
+	// at holds each job's modeled dispatch time, which gates window-
+	// activated corruption (adversary.go). A batch of async re-dispatches
+	// carries one time per job; sync and deadline rounds share one.
+	at []float64
 }
 
 // run executes job j (the j-th client of the round) on the worker's slot.
@@ -67,16 +68,17 @@ type roundTask struct {
 // wire.
 func (t *roundTask) run(j int, sl *slot) {
 	c := t.clients[t.ids[j]]
+	at := t.at[j]
 	start := time.Now()
-	if fab := c.fabricatorAt(t.now); fab != nil {
+	if fab := c.fabricatorAt(at); fab != nil {
 		c.fabricate(fab, t.cfg, t.updates[j].Delta, t.round, t.global, t.prevGlobal)
 	} else {
 		if t.cfg.isF32() {
-			localUpdate32(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.samplerAt(t.now))
+			localUpdate32(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.samplerAt(at))
 		} else {
-			localUpdate(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.samplerAt(t.now))
+			localUpdate(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.samplerAt(at))
 		}
-		c.injectDelta(t.cfg, t.updates[j].Delta, t.round, t.now, t.global, t.prevGlobal)
+		c.injectDelta(t.cfg, t.updates[j].Delta, t.round, at, t.global, t.prevGlobal)
 	}
 	if comp := t.pool.comp; comp != nil {
 		comp.compress(&t.updates[j], c, sl)
@@ -115,17 +117,20 @@ type upload struct {
 
 // executor runs dispatched local rounds and hands their results back to
 // the scheduler. The in-process implementation is the slot pool, which
-// computes updates synchronously inside runRound; the remote
+// computes updates synchronously inside runBatch; the remote
 // implementation (serve.go) serializes dispatch frames to socket-
-// connected workers inside runRound and defers the results, which is
+// connected workers inside runBatch and defers the results, which is
 // what lets round r+1's dispatch overlap round r's aggregation. The
-// seam's contract: runRound fills updates with ring-backed buffers that
+// seam's contract: runBatch fills updates with ring-backed buffers that
 // MAY still be empty; no field of an update — Delta, Payload, TrainLoss
-// — nor its measured time may be read until settle (whole round) or
+// — nor its measured time may be read until settle (whole batch) or
 // settleOne (one update) has returned for it, and every settled update
 // must eventually be released.
 type executor interface {
-	runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error
+	// runBatch runs one local round per client of ids from the global
+	// model of server round (or async version) round; at[j] is job j's
+	// modeled dispatch time.
+	runBatch(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, at []float64, global, prevGlobal []float64, updates []Update, measured []float64) error
 	// settle blocks until every update of the round has its results in
 	// place (position j of measured matches updates[j]).
 	settle(updates []Update, measured []float64) error
@@ -192,6 +197,10 @@ type slotPool struct {
 	// pre-codec engine).
 	comp *compressor
 
+	// at is runRound's per-job dispatch-time buffer, grown to its
+	// largest batch.
+	at []float64
+
 	mu        sync.Mutex
 	free      []*upload // delta ring free list
 	numParams int
@@ -248,10 +257,10 @@ func (p *slotPool) close() {
 	}
 }
 
-// settle implements executor: runRound already computed everything.
+// settle implements executor: runBatch already computed everything.
 func (p *slotPool) settle([]Update, []float64) error { return nil }
 
-// settleOne implements executor: runRound already computed everything.
+// settleOne implements executor: runBatch already computed everything.
 func (p *slotPool) settleOne(*Update, *float64) error { return nil }
 
 // newRingPool creates a pool that owns only the delta ring — no slots,
@@ -262,12 +271,27 @@ func newRingPool(numParams int) *slotPool {
 	return &slotPool{numParams: numParams}
 }
 
-// runRound executes one round of local updates for the given client IDs
-// on the worker pool, checking a delta buffer out of the ring for each
-// update and filling updates/measured slot-by-slot (position j matches
-// ids[j]). It returns once every client's update is written; the error
-// is always nil (the executor seam's remote implementation can fail).
+// runRound is runBatch with every job dispatched at modeled time now —
+// the wire worker's batches, whose dispatch time gates nothing (the wire
+// path serves no adversaries).
 func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
+	if cap(p.at) < len(ids) {
+		p.at = make([]float64, len(ids))
+	}
+	at := p.at[:len(ids)]
+	for j := range at {
+		at[j] = now
+	}
+	return p.runBatch(cfg, alg, clients, ids, round, at, global, prevGlobal, updates, measured)
+}
+
+// runBatch executes one local round for each of the given client IDs on
+// the worker pool, P at a time, checking a delta buffer out of the ring
+// for each update and filling updates/measured slot-by-slot (position j
+// matches ids[j] and at[j]). It returns once every client's update is
+// written; the error is always nil (the executor seam's remote
+// implementation can fail).
+func (p *slotPool) runBatch(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, at []float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
 	for j, id := range ids {
 		u := p.getUpload()
 		updates[j] = Update{
@@ -292,7 +316,7 @@ func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids [
 		prevGlobal: prevGlobal,
 		updates:    updates,
 		measured:   measured,
-		now:        now,
+		at:         at,
 	}
 	p.wg.Add(len(ids))
 	for j := range ids {
@@ -324,7 +348,7 @@ func (p *slotPool) getUpload() *upload {
 
 // release returns an update's ring entry and clears its borrowed views.
 // The caller must not retain Delta or Payload past this call. Updates
-// not built by runRound (tests constructing them by hand) carry no ring
+// not built by runBatch (tests constructing them by hand) carry no ring
 // entry and are left untouched.
 func (p *slotPool) release(u *Update) {
 	if u.ring == nil {

@@ -20,14 +20,17 @@ import (
 // drops, arrival order, staleness — is a pure function of the config and
 // therefore bit-reproducible at any parallelism level.
 //
-// Local computation is executed when a client is *dispatched*, not when
-// its modeled finish event fires: the algorithm state a client reads
+// Local computation is fixed when a client is *dispatched*, not when its
+// modeled finish event fires: the algorithm state a client reads
 // (correction vectors, control variates) is exactly the state at its
 // dispatch version, which is what makes stale-correction dynamics
 // faithful without racing the server's aggregation step. Per-client
 // algorithm state written by EndLocal therefore reflects the client's
 // latest dispatched round, which under the async policy may be ahead of
-// an update still waiting in the server buffer.
+// an update still waiting in the server buffer. The async policy parks
+// each re-dispatch — its schedule decided, its computation deferred —
+// and runs a step's parked rounds as one parallel batch before anything
+// observes or changes their inputs (park/flush; DESIGN.md §4).
 //
 // Steady-state rounds are allocation-free: the per-round ids/updates/
 // measured slices, the aggregation context, the async flight table, and
@@ -67,8 +70,12 @@ type scheduler struct {
 	updates  []Update
 	measured []float64
 	shuffle  []int32
-	server   ServerCtx
-	oneID    [1]int
+	// at holds each dispatched job's modeled dispatch time, parallel to
+	// the ids handed to exec.runBatch: a sync or deadline round fills it
+	// with the round's start; the async policy records each parked
+	// re-dispatch's own time next to its id in parked.
+	at     []float64
+	server ServerCtx
 	// now is the virtual clock (modeled seconds since the run started).
 	now float64
 
@@ -86,8 +93,12 @@ type scheduler struct {
 	lastHonestW  float64
 	lastCorruptW float64
 
-	// Async-policy state (setupAsync/asyncStep).
+	// Async-policy state (setupAsync/asyncStep). arrivals orders the live
+	// flights of pending by modeled finish; parked lists the re-dispatches
+	// whose rounds the next flush computes (capacity Config.maxCohort).
 	pending     []flight
+	arrivals    arrivalQueue
+	parked      []int
 	buffer      []Update
 	version     int
 	lastAgg     float64
@@ -516,10 +527,7 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 	updates := s.updates[:len(include)]
 	measured := s.measured[:len(include)]
 	if len(include) > 0 {
-		if err := s.exec.runRound(&s.cfg, s.alg, s.fleet.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
-			return false, err
-		}
-		if err := s.exec.settle(updates, measured); err != nil {
+		if err := s.runCohort(t, include, updates, measured); err != nil {
 			return false, err
 		}
 		if kept, lost := s.compactLost(include, updates, measured, dup); lost > 0 {
@@ -587,6 +595,19 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 	s.run.Append(rec)
 	s.now += slowestModeled
 	return false, nil
+}
+
+// runCohort runs a sync or deadline round's local updates — every job
+// dispatched at the round's start — and waits for their results.
+func (s *scheduler) runCohort(t int, include []int, updates []Update, measured []float64) error {
+	at := s.at[:len(include)]
+	for j := range at {
+		at[j] = s.now
+	}
+	if err := s.exec.runBatch(&s.cfg, s.alg, s.fleet.clients, include, t, at, s.params, s.wPrev, updates, measured); err != nil {
+		return err
+	}
+	return s.exec.settle(updates, measured)
 }
 
 // finishRel returns client id's modeled finish time relative to a round
@@ -684,10 +705,7 @@ func (s *scheduler) deadlineRound(t int) (halt bool, err error) {
 	measured := s.measured[:len(include)]
 	lostN := 0
 	if len(include) > 0 {
-		if err := s.exec.runRound(&s.cfg, s.alg, s.fleet.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
-			return false, err
-		}
-		if err := s.exec.settle(updates, measured); err != nil {
+		if err := s.runCohort(t, include, updates, measured); err != nil {
 			return false, err
 		}
 		var kept int
@@ -746,16 +764,18 @@ func (s *scheduler) deadlineRound(t int) (halt bool, err error) {
 }
 
 // flight is one client's in-progress local round under the async policy:
-// the update it will upload (already computed — see the scheduler doc
-// comment), the server version it trained from, and its modeled
-// completion time. Flights live in the scheduler's fixed pending table;
-// live distinguishes in-flight entries from consumed ones.
+// the update it will upload (computed at the latest by the next flush —
+// see the scheduler doc comment), the server version it trained from,
+// and its modeled completion time. Flights live in the scheduler's fixed
+// pending table; live distinguishes in-flight entries from consumed
+// ones, parked a flight whose update the next flush computes.
 type flight struct {
 	update   Update
 	measured float64
 	finish   float64
 	version  int
 	live     bool
+	parked   bool
 	// Fault state (fault.go): failed marks a crashed/lost/timed-out
 	// dispatch — finish is then the server's timeout expiry, the computed
 	// update is discarded (ring entry returned) and the client retried or
@@ -766,49 +786,164 @@ type flight struct {
 	attempt int
 }
 
-// dispatch starts a local round for the given clients at virtual time at:
-// the update is computed now (execute-at-dispatch semantics) and parked
-// in the pending table until its modeled finish event fires. The upload
-// delta is a ring buffer owned by the flight until the server consumes or
-// discards it. Under remote execution the update's results are still in
-// flight when dispatch returns — asyncStep settles each flight before
-// reading it — which is what overlaps worker compute with the server's
-// aggregation and evaluation of earlier rounds.
-func (s *scheduler) dispatch(ids []int, at float64) error {
-	updates := s.updates[:len(ids)]
-	measured := s.measured[:len(ids)]
-	if err := s.exec.runRound(&s.cfg, s.alg, s.fleet.clients, ids, s.version, at, s.params, s.wPrev, updates, measured); err != nil {
-		return err
+// arrivalQueue is the async policy's event queue: a binary min-heap of
+// the live flights' client IDs, ordered by (finish, id) with the keys
+// read from the pending table. The next arrival costs O(log n) instead
+// of a scan of the fleet, and ties go to the lowest ID — exactly the
+// flight a linear scan with a strict < picks. A flight is queued exactly
+// while it is live: dispatch pushes it, asyncStep pops it, and restore
+// rebuilds the queue from the restored table.
+type arrivalQueue []int32
+
+// arrivesBefore orders flights a and b of pending by (finish, id).
+func arrivesBefore(pending []flight, a, b int32) bool {
+	fa, fb := pending[a].finish, pending[b].finish
+	return fa < fb || (fa == fb && a < b)
+}
+
+// push queues client id, whose flight is already in pending.
+func (q *arrivalQueue) push(pending []flight, id int) {
+	h := append(*q, int32(id))
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !arrivesBefore(pending, h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	for j, id := range ids {
-		f := flight{
-			update:   updates[j],
-			measured: measured[j],
-			finish:   s.device(id).Availability.NextAvailable(at) + s.finishDur(id),
-			version:  s.version,
-			live:     true,
+	*q = h
+}
+
+// pop removes and returns the next arrival's client ID, or -1 when
+// nothing is in flight.
+func (q *arrivalQueue) pop(pending []flight) int {
+	h := *q
+	if len(h) == 0 {
+		return -1
+	}
+	next := h[0]
+	h[0] = h[len(h)-1]
+	h = h[:len(h)-1]
+	h.down(pending, 0)
+	*q = h
+	return int(next)
+}
+
+// rebuild queues every live flight of pending.
+func (q *arrivalQueue) rebuild(pending []flight) {
+	h := (*q)[:0]
+	for id := range pending {
+		if pending[id].live {
+			h = append(h, int32(id))
 		}
-		if s.plan != nil && s.plan.anyDispatch {
-			out := s.resolveAsyncDispatch(id, at)
-			f.finish = out.finish
-			f.failed = out.failed
-			f.dup = out.dup
-			f.attempt = s.attempts[id]
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(pending, i)
+	}
+	*q = h
+}
+
+// down restores the heap order below position i.
+func (h arrivalQueue) down(pending []flight, i int) {
+	for {
+		first := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && arrivesBefore(pending, h[c], h[first]) {
+				first = c
+			}
 		}
-		s.pending[id] = f
+		if first == i {
+			return
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
+	}
+}
+
+// dispatch starts a local round for client id at virtual time at and
+// parks it. Everything the schedule depends on is fixed here, on the
+// scheduler goroutine, in dispatch order: the flight's modeled finish,
+// the server version it trains from, and its fault outcome. The update
+// itself is computed by the next flush, against inputs nothing writes in
+// between: the global model and algorithm state only change in
+// aggregate, which flushes first, and a client's own record only changes
+// in its own round. A full park list flushes at once.
+func (s *scheduler) dispatch(id int, at float64) error {
+	f := flight{
+		finish:  s.device(id).Availability.NextAvailable(at) + s.finishDur(id),
+		version: s.version,
+		live:    true,
+		parked:  true,
+	}
+	if s.plan != nil && s.plan.anyDispatch {
+		out := s.resolveAsyncDispatch(id, at)
+		f.finish = out.finish
+		f.failed = out.failed
+		f.dup = out.dup
+		f.attempt = s.attempts[id]
+	}
+	s.pending[id] = f
+	s.arrivals.push(s.pending, id)
+	s.at[len(s.parked)] = at
+	s.parked = append(s.parked, id)
+	if len(s.parked) == cap(s.parked) {
+		return s.flush()
 	}
 	return nil
 }
 
+// flush computes every parked round as one executor batch — P slots at
+// a time in process, one Dispatch frame per worker over the wire — and
+// hands each update to its flight. The upload delta is a ring buffer
+// owned by the flight until the server consumes or discards it. Under
+// remote execution the results are still in flight when flush returns —
+// asyncStep settles each flight before reading it — which is what
+// overlaps worker compute with the server's aggregation and evaluation.
+// Every parked round shares s.version: the version only moves in
+// asyncStep after the pre-aggregation flush.
+func (s *scheduler) flush() error {
+	k := len(s.parked)
+	if k == 0 {
+		return nil
+	}
+	updates, measured := s.updates[:k], s.measured[:k]
+	if err := s.exec.runBatch(&s.cfg, s.alg, s.fleet.clients, s.parked, s.version, s.at[:k], s.params, s.wPrev, updates, measured); err != nil {
+		return err
+	}
+	for j, id := range s.parked {
+		f := &s.pending[id]
+		f.update, f.measured, f.parked = updates[j], measured[j], false
+	}
+	s.parked = s.parked[:0]
+	return nil
+}
+
+// initAsync sizes the async state: the fleet-wide flight table, and the
+// arrival queue, park list and buffer, which hold at most one flight per
+// dispatched client.
+func (s *scheduler) initAsync() {
+	n := len(s.active)
+	cohort := s.cfg.maxCohort(n)
+	s.pending = make([]flight, n)
+	s.arrivals = make(arrivalQueue, 0, cohort)
+	s.parked = make([]int, 0, cohort)
+	s.buffer = make([]Update, 0, s.cfg.asyncBuffer())
+}
+
 // setupAsync initializes the async state and dispatches the first wave.
 func (s *scheduler) setupAsync() error {
-	s.pending = make([]flight, len(s.active))
-	s.buffer = make([]Update, 0, s.cfg.asyncBuffer())
+	s.initAsync()
 	ids, err := s.participants(0)
 	if err != nil {
 		return err
 	}
-	return s.dispatch(ids, 0)
+	for _, id := range ids {
+		if err := s.dispatch(id, 0); err != nil {
+			return err
+		}
+	}
+	return s.flush()
 }
 
 // runAsync is FedBuff-style buffered asynchronous aggregation: every
@@ -827,20 +962,24 @@ func (s *scheduler) runAsync() error {
 
 // asyncStep drains arrivals in virtual-time order (ties broken by client
 // ID) until the buffer triggers one server step; halt reports divergence.
+// Re-dispatches park and are computed in batches, flushed when an
+// arrival needs a parked update, before aggregation, when the park list
+// fills, and at the end of the step — so between steps nothing is
+// parked, and snapshots, restores and rollbacks see no batching at all.
 func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	bufK := s.cfg.asyncBuffer()
 	trigger := -1
 	for len(s.buffer) < bufK {
-		id := -1
-		for i := range s.pending {
-			if s.pending[i].live && (id == -1 || s.pending[i].finish < s.pending[id].finish) {
-				id = i
-			}
-		}
+		id := s.arrivals.pop(s.pending)
 		if id == -1 {
 			return false, fmt.Errorf("fl: no client updates in flight at async step %d (all clients expelled)", t)
 		}
 		f := &s.pending[id]
+		if f.parked {
+			if err := s.flush(); err != nil {
+				return false, err
+			}
+		}
 		f.live = false
 		s.now = f.finish
 		// Remote execution defers results past dispatch: block here, at the
@@ -876,15 +1015,14 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 				return false, fmt.Errorf("fl: faults starved the async buffer at step %d (%d consecutive failed dispatches)", t, s.failStreak)
 			}
 			attempt := f.attempt
-			s.oneID[0] = id
 			if attempt < s.plan.retries {
 				s.attempts[id] = attempt + 1
 				s.stepRetries++
-				err = s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, s.plan.perClient[id].r))
+				err = s.dispatch(id, s.now+s.plan.backoff(attempt, s.plan.perClient[id].r))
 			} else {
 				s.attempts[id] = 0
 				s.stepDropped++
-				err = s.dispatch(s.oneID[:1], s.now)
+				err = s.dispatch(id, s.now)
 			}
 			if err != nil {
 				return false, err
@@ -907,8 +1045,7 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 			s.bufMeasured = f.measured
 		}
 		if len(s.buffer) < bufK {
-			s.oneID[0] = id
-			if err := s.dispatch(s.oneID[:1], s.now); err != nil {
+			if err := s.dispatch(id, s.now); err != nil {
 				return false, err
 			}
 		} else {
@@ -924,6 +1061,12 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 		}
 	}
 
+	// The parked rounds read the model and algorithm state this step
+	// replaces (Scaffold's Aggregate also reads the c_i their EndLocal
+	// writes), so they run first.
+	if err := s.flush(); err != nil {
+		return false, err
+	}
 	halt = s.aggregate(t, s.buffer)
 	trainLoss := meanLoss(s.buffer)
 	upBytes, upRatio := s.uplink(s.buffer)
@@ -933,10 +1076,12 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	}
 	s.version++
 	if trigger >= 0 && s.active[trigger] {
-		s.oneID[0] = trigger
-		if err := s.dispatch(s.oneID[:1], s.now); err != nil {
+		if err := s.dispatch(trigger, s.now); err != nil {
 			return false, err
 		}
+	}
+	if err := s.flush(); err != nil {
+		return false, err
 	}
 	zeroed, clipped, clipNorm := s.stackStats()
 	rec := metrics.Round{

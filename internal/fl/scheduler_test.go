@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/fl"
 	"repro/internal/simclock"
 )
@@ -54,25 +56,62 @@ func policyConfig(t *testing.T, policy fl.AggregationPolicy, seed uint64) fl.Con
 // regression the event scheduler is locked down by: for every policy and
 // two seeds, Parallelism=1 and Parallelism=8 must produce bit-identical
 // results — final parameters and the full deterministic metric history.
+// The async-* variants compute re-dispatches in parallel batches with
+// Scaffold (EndLocal writes the c_i its Aggregate reads), with TACO under
+// crash/drop/dup/slow faults and retries (backoff dispatch times inside
+// one batch), and with window-gated adversaries plus freeloaders (each
+// job's own dispatch time decides its corruption). Nothing here is
+// skipped in -short mode, so the race detector sees parked batches
+// against the arrival loop.
 func TestSchedulerDeterministicAcrossParallelism(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
-	policies := []fl.AggregationPolicy{fl.PolicySync, fl.PolicyDeadline, fl.PolicyAsync}
-	for _, policy := range policies {
+	taco := func() fl.Algorithm { return core.New(core.Recommended()) }
+	variants := []struct {
+		name   string
+		policy fl.AggregationPolicy
+		alg    func() fl.Algorithm
+		tune   func(*fl.Config, float64)
+	}{
+		{name: "sync", policy: fl.PolicySync, alg: taco},
+		{name: "deadline", policy: fl.PolicyDeadline, alg: taco},
+		{name: "async", policy: fl.PolicyAsync, alg: taco},
+		{name: "async-scaffold", policy: fl.PolicyAsync, alg: func() fl.Algorithm { return baselines.NewScaffold(1) }},
+		{name: "async-taco-faults", policy: fl.PolicyAsync, alg: taco, tune: func(c *fl.Config, _ float64) {
+			c.Faults = []fault.Spec{
+				{Kind: fault.KindCrash, Frac: 0.25},
+				{Kind: fault.KindDrop, Frac: 0.15},
+				{Kind: fault.KindDup, Frac: 0.3},
+				{Kind: fault.KindSlow, Frac: 0.3, Param: 4},
+			}
+			c.FaultRetries = 3
+		}},
+		{name: "async-adversary-window", policy: fl.PolicyAsync, alg: func() fl.Algorithm { return baselines.NewFedAvg() }, tune: func(c *fl.Config, nominal float64) {
+			c.Freeloaders = []int{6}
+			win := simclock.Trace{PeriodSec: 0.7 * nominal, OnFraction: 0.5, OffsetSec: 0.2 * nominal}
+			c.Adversaries = []adversary.Spec{
+				{Kind: adversary.KindLabelFlip, Clients: []int{1, 4}, Window: win},
+				{Kind: adversary.KindScale, Clients: []int{4, 7}, Scale: 3, Window: win},
+				{Kind: adversary.KindFreeloader, Clients: []int{3}, Window: simclock.Trace{PeriodSec: 0.9 * nominal, OnFraction: 0.5}},
+			}
+		}},
+	}
+	for _, v := range variants {
 		for _, seed := range []uint64{11, 97} {
-			t.Run(fmt.Sprintf("%s/seed%d", policy, seed), func(t *testing.T) {
-				cfgSerial := policyConfig(t, policy, seed)
-				cfgSerial.Parallelism = 1
-				cfgParallel := policyConfig(t, policy, seed)
-				cfgParallel.Parallelism = 8
-
-				resA, err := fl.Run(cfgSerial, core.New(core.Recommended()), net, shards, test)
-				if err != nil {
-					t.Fatal(err)
+			t.Run(fmt.Sprintf("%s/seed%d", v.name, seed), func(t *testing.T) {
+				var res [2]*fl.Result
+				for i, p := range []int{1, 8} {
+					cfg := policyConfig(t, v.policy, seed)
+					cfg.Parallelism = p
+					if v.tune != nil {
+						v.tune(&cfg, nominalRound(t, cfg))
+					}
+					r, err := fl.Run(cfg, v.alg(), net, shards, test)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res[i] = r
 				}
-				resB, err := fl.Run(cfgParallel, core.New(core.Recommended()), net, shards, test)
-				if err != nil {
-					t.Fatal(err)
-				}
+				resA, resB := res[0], res[1]
 				for i := range resA.FinalParams {
 					if resA.FinalParams[i] != resB.FinalParams[i] {
 						t.Fatalf("param %d differs across parallelism levels", i)

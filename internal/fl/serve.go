@@ -213,7 +213,7 @@ func (sc *serveConn) writeEmpty(t wire.FrameType) error {
 	return err
 }
 
-// remoteExec implements the executor seam over worker sockets. runRound
+// remoteExec implements the executor seam over worker sockets. runBatch
 // checks ring entries out for every dispatched client, registers them as
 // pending, and serializes one Dispatch frame per owning connection —
 // then returns, leaving the results in flight. Per-connection reader
@@ -248,7 +248,7 @@ type remoteExec struct {
 	noFailover    bool
 
 	// recoverMu serializes failure recovery (owner transfer + history
-	// replay) against dispatch-frame writes: runRound holds it across
+	// replay) against dispatch-frame writes: runBatch holds it across
 	// its writes so a replay can never interleave with a new dispatch
 	// for the same client, which would corrupt the worker's stream
 	// replay order.
@@ -517,14 +517,17 @@ func (e *remoteExec) supervise() {
 	}
 }
 
-// runRound implements executor: register pending ring entries and write
-// one Dispatch frame per owning connection, without waiting for results.
+// runBatch implements executor: register pending ring entries and write
+// one Dispatch frame per owning connection, without waiting for results
+// — a batch of k clients costs each connection one frame and one copy of
+// the global model. Dispatch times stay on the server: the wire path
+// serves no adversaries, so nothing a worker computes depends on them.
 // It also appends each dispatch to the replay history and snapshots the
 // round's global once. Targets that are already down get their entries
 // marked lost immediately (no history entry — the batch was never sent);
 // a write failure mid-round closes that connection and leaves its
 // entries pending for failover to re-dispatch.
-func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
+func (e *remoteExec) runBatch(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, _ []float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
 	e.recoverMu.Lock()
 	defer e.recoverMu.Unlock()
 	e.mu.Lock()
