@@ -13,9 +13,13 @@
 //	flserver -mode local  -dataset adult -alg FedAvg -rounds 3
 //	flserver -mode serve -network unix -addr /tmp/fl.sock -workers 1 -compress topk
 //
-// Every topology flag (-dataset … -seed) must be passed identically to
-// the server and each worker: both sides rebuild the run from the flags,
-// and a config fingerprint in the handshake rejects mismatches.
+// The run flags are internal/runspec's, the same set flsim takes, and
+// -mode local runs them down flsim's code path (runspec.Build, then
+// fl.Run). Every run flag must be passed identically to the server and
+// each worker: both sides rebuild the run from the flags, and a config
+// fingerprint in the handshake rejects mismatches. Flags the wire path
+// cannot serve (-attack, -freeloaders, a stateful -alg) are rejected by
+// fl.Serve and fl.RunWorker.
 package main
 
 import (
@@ -31,14 +35,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/compress"
-	"repro/internal/dataset"
-	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/nn"
-	"repro/internal/partition"
-	"repro/internal/rng"
-	"repro/internal/simclock"
+	"repro/internal/runspec"
 )
 
 func main() {
@@ -49,6 +47,12 @@ func main() {
 }
 
 func run() error {
+	spec := runspec.Spec{
+		Dataset: "adult", Alg: "FedAvg", Clients: 20, Rounds: 5, LocalSteps: 10, Batch: 24,
+		LR: 0.05, Partition: "dir", Phi: 0.5, Seed: 7, Scale: "small",
+		Policy: "sync", Hetero: "uniform",
+	}
+	spec.Bind(flag.CommandLine)
 	var (
 		mode    = flag.String("mode", "local", "role: serve|worker|local")
 		network = flag.String("network", "tcp", "socket family: tcp|unix")
@@ -60,41 +64,13 @@ func run() error {
 		heartbeat  = flag.Float64("heartbeat", 0, "liveness probe seconds (0 = 5, negative disables)")
 		grace      = flag.Float64("grace", 0, "serve: seconds to wait for a dead worker to re-dial before reassigning its clients (0 = don't wait)")
 		noReassign = flag.Bool("no-reassign", false, "serve: never move clients between workers (a lost worker degrades rounds until it re-attaches)")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "serve/local: checkpoint every N rounds (0 = off unless -checkpoint-file is set)")
-		ckptFile   = flag.String("checkpoint-file", "", "serve/local: file the newest checkpoint blob is written to (atomic replace)")
+		ckptFile   = flag.String("checkpoint-file", "", "serve/local: file the newest checkpoint blob is written to (atomic replace; -checkpoint-every 0 means every round)")
 		resume     = flag.String("resume", "", "serve/local: checkpoint file to restore and continue from")
 		reattach   = flag.Bool("reattach", false, "worker: re-dial and re-attach after a connection loss or server pause")
-
-		dsName      = flag.String("dataset", "adult", "dataset: "+strings.Join(dataset.Names(), "|"))
-		algName     = flag.String("alg", "FedAvg", "wire-safe algorithm: FedAvg|FedProx")
-		clients     = flag.Int("clients", 20, "number of clients")
-		rounds      = flag.Int("rounds", 5, "communication rounds T")
-		localSteps  = flag.Int("k", 10, "local steps per round K")
-		batch       = flag.Int("batch", 24, "mini-batch size s")
-		lr          = flag.Float64("lr", 0.05, "local learning rate ηl")
-		globalLR    = flag.Float64("glr", 0, "global learning rate ηg (0 = K·ηl)")
-		partKind    = flag.String("partition", "dir", "partition: groups|dir|iid|natural")
-		phi         = flag.Float64("phi", 0.5, "Dirichlet concentration for -partition dir")
-		seed        = flag.Uint64("seed", 7, "random seed")
-		scaleName   = flag.String("scale", "small", "dataset scale: small|full")
-		policyName  = flag.String("policy", "sync", "aggregation policy: "+strings.Join(fl.PolicyNames(), "|"))
-		deadlineSec = flag.Float64("deadline", 0, "deadline policy: modeled seconds per round (0 = 1.5× the nominal modeled round)")
-		buffer      = flag.Int("buffer", 0, "async policy: buffered updates per server step (0 = clients/4, min 1)")
-		hetero      = flag.String("hetero", "uniform", "device fleet: "+strings.Join(simclock.FleetNames(), "|"))
-		compressStr = flag.String("compress", "", "uplink codec: none|topk[:frac]|int8[:chunk]")
-		participate = flag.Float64("participation", 0, "fraction of clients dispatched per round (0 = all)")
-		parallel    = flag.Int("parallelism", 0, "local-training parallelism per process (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
-	cfg, alg, net_, shards, test, err := buildRun(runFlags{
-		dsName: *dsName, algName: *algName, clients: *clients, rounds: *rounds,
-		localSteps: *localSteps, batch: *batch, lr: *lr, globalLR: *globalLR,
-		partKind: *partKind, phi: *phi, seed: *seed, scaleName: *scaleName,
-		policyName: *policyName, deadlineSec: *deadlineSec, buffer: *buffer,
-		hetero: *hetero, compressStr: *compressStr, participate: *participate,
-		parallel: *parallel,
-	})
+	r, err := spec.Build()
 	if err != nil {
 		return err
 	}
@@ -104,15 +80,12 @@ func run() error {
 	// always leaves a complete checkpoint to -resume from. The flag set
 	// including these must match between a checkpoint writer and its
 	// resumer (the blob fingerprints the config).
-	if *ckptEvery > 0 {
-		cfg.CheckpointEvery = *ckptEvery
-	}
 	if *ckptFile != "" {
-		if cfg.CheckpointEvery == 0 {
-			cfg.CheckpointEvery = 1
+		if r.Config.CheckpointEvery == 0 {
+			r.Config.CheckpointEvery = 1
 		}
 		path := *ckptFile
-		cfg.OnCheckpoint = func(round int, blob []byte) {
+		r.Config.OnCheckpoint = func(round int, blob []byte) {
 			tmp := path + ".tmp"
 			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "checkpoint at round %d not written: %v\n", round, err)
@@ -158,17 +131,17 @@ func run() error {
 			DisableReassign:  *noReassign,
 			Interrupt:        interrupt,
 		}
-		fmt.Fprintf(os.Stderr, "serving %s on %s %s, waiting for %d workers\n", *algName, *network, *addr, *workers)
+		fmt.Fprintf(os.Stderr, "serving %s on %s %s, waiting for %d workers\n", spec.Alg, *network, *addr, *workers)
 		var res *fl.Result
 		if resumeBlob != nil {
-			res, err = fl.ServeResume(ln, opt, resumeBlob, *cfg, alg, net_, shards, test)
+			res, err = fl.ServeResume(ln, opt, resumeBlob, r.Config, r.Alg, r.Net, r.Shards, r.Test)
 		} else {
-			res, err = fl.Serve(ln, opt, *cfg, alg, net_, shards, test)
+			res, err = fl.Serve(ln, opt, r.Config, r.Alg, r.Net, r.Shards, r.Test)
 		}
 		if err != nil {
 			return err
 		}
-		printSummary("serve", res, cfg)
+		printSummary("serve", res)
 		return nil
 	case "worker":
 		wh := *heartbeat
@@ -184,7 +157,7 @@ func run() error {
 				return err
 			}
 			wopt := fl.WorkerOptions{Index: *index, Workers: *workers, Attach: attach, HeartbeatSec: wh}
-			err = fl.RunWorkerOpts(conn, wopt, *cfg, alg, net_, shards, *dsName)
+			err = fl.RunWorkerOpts(conn, wopt, r.Config, r.Alg, r.Net, r.Shards, spec.Dataset)
 			if err == nil {
 				fmt.Fprintf(os.Stderr, "worker %d/%d done\n", *index, *workers)
 				return nil
@@ -203,107 +176,18 @@ func run() error {
 	case "local":
 		var res *fl.Result
 		if resumeBlob != nil {
-			res, err = fl.Resume(*cfg, alg, net_, shards, test, resumeBlob)
+			res, err = fl.Resume(r.Config, r.Alg, r.Net, r.Shards, r.Test, resumeBlob)
 		} else {
-			res, err = fl.Run(*cfg, alg, net_, shards, test)
+			res, err = fl.Run(r.Config, r.Alg, r.Net, r.Shards, r.Test)
 		}
 		if err != nil {
 			return err
 		}
-		printSummary("local", res, cfg)
+		printSummary("local", res)
 		return nil
 	default:
 		return fmt.Errorf("unknown -mode %q (serve|worker|local)", *mode)
 	}
-}
-
-// runFlags is the topology every process rebuilds identically.
-type runFlags struct {
-	dsName, algName                 string
-	clients, rounds, localSteps     int
-	batch, buffer, parallel         int
-	lr, globalLR, phi, deadlineSec  float64
-	participate                     float64
-	partKind, scaleName, policyName string
-	hetero, compressStr             string
-	seed                            uint64
-}
-
-// buildRun materializes the run from the shared flags: dataset, shards,
-// model, algorithm, and config. Server and workers call it with the same
-// flag values; the handshake fingerprint rejects divergence.
-func buildRun(f runFlags) (*fl.Config, fl.Algorithm, *nn.Network, []*dataset.Dataset, *dataset.Dataset, error) {
-	fail := func(err error) (*fl.Config, fl.Algorithm, *nn.Network, []*dataset.Dataset, *dataset.Dataset, error) {
-		return nil, nil, nil, nil, nil, err
-	}
-	scale := dataset.ScaleSmall
-	if f.scaleName == "full" {
-		scale = dataset.ScaleFull
-	}
-	train, test, err := dataset.Standard(f.dsName, scale, f.seed)
-	if err != nil {
-		return fail(err)
-	}
-	network, err := dataset.Model(f.dsName)
-	if err != nil {
-		return fail(err)
-	}
-	r := rng.New(f.seed).Derive("partition", 0)
-	var part *partition.Partition
-	switch f.partKind {
-	case "groups":
-		part, _, err = partition.Groups(train, partition.PaperGroups(f.clients), r)
-	case "dir":
-		part, err = partition.Dirichlet(train, f.clients, f.phi, r)
-	case "iid":
-		part, err = partition.IID(train, f.clients, r)
-	case "natural":
-		part, err = partition.ByNaturalGroups(train, f.clients, r)
-	default:
-		err = fmt.Errorf("unknown partition %q", f.partKind)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	alg, err := experiments.NewAlgorithm(f.algName)
-	if err != nil {
-		return fail(err)
-	}
-	policy, err := fl.ParsePolicy(f.policyName)
-	if err != nil {
-		return fail(err)
-	}
-	spec, err := compress.ParseSpec(f.compressStr)
-	if err != nil {
-		return fail(err)
-	}
-	nominal := simclock.RoundSeconds(network.GradFlops(f.batch), f.localSteps, simclock.Plain())
-	fleet, err := simclock.FleetByName(f.hetero, f.clients, nominal, f.seed)
-	if err != nil {
-		return fail(err)
-	}
-	cfg := &fl.Config{
-		Rounds:                f.rounds,
-		LocalSteps:            f.localSteps,
-		BatchSize:             f.batch,
-		LocalLR:               f.lr,
-		GlobalLR:              f.globalLR,
-		Seed:                  f.seed,
-		Policy:                policy,
-		Devices:               fleet,
-		Compress:              spec,
-		ParticipationFraction: f.participate,
-		Parallelism:           f.parallel,
-	}
-	cfg.RoundDeadlineSec = f.deadlineSec
-	cfg.AsyncBuffer = f.buffer
-	if policy == fl.PolicyDeadline && cfg.RoundDeadlineSec == 0 {
-		cfg.RoundDeadlineSec = 1.5 * nominal
-	}
-	if policy == fl.PolicyAsync && cfg.AsyncBuffer == 0 {
-		cfg.AsyncBuffer = max(f.clients/4, 1)
-	}
-	return cfg, alg, network, part.Shards(train), test, nil
 }
 
 // dialRetry dials until the server is listening (workers usually start
@@ -327,7 +211,7 @@ func dialRetry(network, addr string, budget time.Duration) (net.Conn, error) {
 // of the final parameter bits. Every stdout field is modeled or exact —
 // no wall times, no mode label (status goes to stderr) — so CI checks
 // wire-path bit-identity with a plain `diff` of local vs serve stdout.
-func printSummary(mode string, res *fl.Result, cfg *fl.Config) {
+func printSummary(mode string, res *fl.Result) {
 	run := res.Run
 	for _, rec := range run.Rounds {
 		// re/rc are the failover counters (reassigned dispatches, worker

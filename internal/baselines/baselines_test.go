@@ -117,7 +117,7 @@ func TestFedProxGradAdjust(t *testing.T) {
 
 func TestFedACGLocalInitLookahead(t *testing.T) {
 	alg := NewFedACG(0.001)
-	alg.Setup(&fl.Env{NumClients: 2, NumParams: 2, DataSizes: []int{1, 1},
+	alg.Setup(&fl.Env{NumClients: 2, NumParams: 2,
 		Cfg: fl.Config{Rounds: 1, LocalSteps: 1, BatchSize: 1, LocalLR: 0.1, Seed: 1}})
 	w := []float64{1, 2}
 	out := make([]float64, 2)
@@ -130,7 +130,7 @@ func TestFedACGLocalInitLookahead(t *testing.T) {
 
 func TestScaffoldControlVariateUpdate(t *testing.T) {
 	alg := NewScaffold(1)
-	alg.Setup(&fl.Env{NumClients: 2, NumParams: 2, DataSizes: []int{1, 1},
+	alg.Setup(&fl.Env{NumClients: 2, NumParams: 2,
 		Cfg: fl.Config{Rounds: 1, LocalSteps: 2, BatchSize: 1, LocalLR: 0.5, Seed: 1}})
 	// c and c_i start at zero, so the round's correction is zero.
 	alg.BeginLocal(0, 0, nil)
@@ -155,7 +155,7 @@ func TestScaffoldControlVariateUpdate(t *testing.T) {
 
 func TestFoolsGoldDownweightsOutlier(t *testing.T) {
 	alg := NewFoolsGold()
-	env := &fl.Env{NumClients: 3, NumParams: 2, DataSizes: []int{1, 1, 1},
+	env := &fl.Env{NumClients: 3, NumParams: 2,
 		Cfg: fl.Config{Rounds: 1, LocalSteps: 1, BatchSize: 1, LocalLR: 1, Seed: 1}}
 	alg.Setup(env)
 	w := []float64{0, 0}

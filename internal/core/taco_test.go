@@ -223,7 +223,6 @@ func TestLemma1EMAStructure(t *testing.T) {
 	env := &fl.Env{
 		NumClients: n,
 		NumParams:  dim,
-		DataSizes:  []int{1, 1, 1, 1},
 		Cfg:        fl.Config{Rounds: 4, LocalSteps: k, BatchSize: 1, LocalLR: lr, Seed: 1},
 	}
 	alg.Setup(env)

@@ -53,6 +53,8 @@ const (
 	PartDirichlet PartitionKind = "dirichlet"
 	// PartNatural partitions by the dataset's natural groups (speakers).
 	PartNatural PartitionKind = "natural"
+	// PartIID deals samples uniformly at random (the homogeneous control).
+	PartIID PartitionKind = "iid"
 )
 
 // Profile fixes one dataset's training setup, mirroring the hyper-
@@ -155,6 +157,8 @@ func (p Profile) Materialize(seed uint64) (*fl.Config, []*dataset.Dataset, *data
 		part, err = partition.Dirichlet(train, p.Clients, p.DirPhi, r)
 	case PartNatural:
 		part, err = partition.ByNaturalGroups(train, p.Clients, r)
+	case PartIID:
+		part, err = partition.IID(train, p.Clients, r)
 	default:
 		err = fmt.Errorf("experiments: unknown partition kind %q", p.Partition)
 	}

@@ -18,10 +18,6 @@ type Env struct {
 	NumClients int
 	// NumParams is the flat parameter-vector length.
 	NumParams int
-	// DataSizes is D_i per client when the caller provides it. The
-	// engine leaves it nil — a fleet-sized table would make setup
-	// O(fleet) — and every Update carries its client's D_i as NumSamples.
-	DataSizes []int
 	// Devices is the per-client device fleet, so algorithms can inspect
 	// the heterogeneity regime they train under; nil means uniform (every
 	// device nominal and always available).

@@ -32,14 +32,12 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 	numParams := net.NumParams()
 
 	clients := make([]*client, n)
-	dataSizes := make([]int, n)
 	for i, shard := range shards {
 		clients[i] = &client{
 			id:      i,
 			data:    shard,
 			sampler: dataset.NewSampler(shard, root.Derive("sampler", i)),
 		}
-		dataSizes[i] = shard.Len()
 	}
 	// The reference loop predates the slot pool; per-client resources are
 	// now pooled, but the local-update arithmetic and ordering it pins are
@@ -52,7 +50,6 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 		Net:        net,
 		NumClients: n,
 		NumParams:  numParams,
-		DataSizes:  dataSizes,
 		Cfg:        cfg,
 	}
 	alg.Setup(env)

@@ -1,4 +1,4 @@
-package main
+package runspec
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 )
 
 // dtypeConfig builds the minimal valid config the -dtype flag feeds into
-// fl.Config.Validate, mirroring main's wiring (the flag value is
+// fl.Config.Validate, mirroring Build's wiring (the flag value is
 // forwarded verbatim; Validate is the only gate).
 func dtypeConfig(dtype string) fl.Config {
 	return fl.Config{Rounds: 1, LocalSteps: 1, BatchSize: 1, LocalLR: 0.1, DType: dtype}

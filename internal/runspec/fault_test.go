@@ -1,4 +1,4 @@
-package main
+package runspec
 
 import (
 	"testing"
@@ -7,17 +7,17 @@ import (
 )
 
 func TestBuildFaults(t *testing.T) {
-	if specs, err := buildFaults(""); err != nil || specs != nil {
+	if specs, err := fault.ParseFaults(""); err != nil || specs != nil {
 		t.Fatalf("no faults -> (%v, %v), want (nil, nil)", specs, err)
 	}
-	specs, err := buildFaults("crash")
+	specs, err := fault.ParseFaults("crash")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) != 1 || specs[0].Kind != fault.KindCrash || specs[0].Frac != 0.25 {
 		t.Fatalf("default spec = %+v", specs)
 	}
-	specs, err = buildFaults("crash:0.2,slow:0.3:4,servercrash:10")
+	specs, err = fault.ParseFaults("crash:0.2,slow:0.3:4,servercrash:10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +25,14 @@ func TestBuildFaults(t *testing.T) {
 		t.Fatalf("parsed specs = %+v", specs)
 	}
 	for _, bad := range []string{"nope", "crash:2", "slow:0.5:0.5", "servercrash:0", "crash:,"} {
-		if _, err := buildFaults(bad); err == nil {
-			t.Fatalf("buildFaults(%q) accepted", bad)
+		if _, err := fault.ParseFaults(bad); err == nil {
+			t.Fatalf("fault.ParseFaults(%q) accepted", bad)
 		}
 	}
 }
 
-// FuzzFaultFlag: the -fault flag pipeline never panics and anything it
+// FuzzFaultFlag: the -fault flag pipeline (Build hands the value to
+// fault.ParseFaults verbatim) never panics and anything it
 // accepts is a valid spec list.
 func FuzzFaultFlag(f *testing.F) {
 	f.Add("crash")
@@ -39,13 +40,13 @@ func FuzzFaultFlag(f *testing.F) {
 	f.Add("servercrash:10")
 	f.Add(":::,,,")
 	f.Fuzz(func(t *testing.T, s string) {
-		specs, err := buildFaults(s)
+		specs, err := fault.ParseFaults(s)
 		if err != nil {
 			return
 		}
 		for _, spec := range specs {
 			if verr := spec.Validate(); verr != nil {
-				t.Fatalf("buildFaults(%q) returned invalid spec %+v: %v", s, spec, verr)
+				t.Fatalf("fault.ParseFaults(%q) returned invalid spec %+v: %v", s, spec, verr)
 			}
 		}
 	})

@@ -1,4 +1,4 @@
-package main
+package runspec
 
 import (
 	"testing"
@@ -7,10 +7,10 @@ import (
 )
 
 func TestBuildStack(t *testing.T) {
-	if spec, err := buildStack(""); err != nil || !spec.Empty() {
+	if spec, err := aggstack.ParseStack(""); err != nil || !spec.Empty() {
 		t.Fatalf("no stack -> (%+v, %v), want empty", spec, err)
 	}
-	spec, err := buildStack("zeroing|clip:5")
+	spec, err := aggstack.ParseStack("zeroing|clip:5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,17 +19,17 @@ func TestBuildStack(t *testing.T) {
 		t.Fatalf("parsed stack = %+v", spec)
 	}
 	for _, bad := range []string{"nope", "zeroing:0", "clip:-1", "zeroing||clip"} {
-		if _, err := buildStack(bad); err == nil {
-			t.Fatalf("buildStack(%q) accepted", bad)
+		if _, err := aggstack.ParseStack(bad); err == nil {
+			t.Fatalf("aggstack.ParseStack(%q) accepted", bad)
 		}
 	}
 }
 
 func TestBuildServerOpt(t *testing.T) {
-	if spec, err := buildServerOpt(""); err != nil || !spec.None() {
+	if spec, err := aggstack.ParseServerOpt(""); err != nil || !spec.None() {
 		t.Fatalf("no optimizer -> (%+v, %v), want none", spec, err)
 	}
-	spec, err := buildServerOpt("adam:0.05")
+	spec, err := aggstack.ParseServerOpt("adam:0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestBuildServerOpt(t *testing.T) {
 		t.Fatalf("parsed optimizer = %+v", spec)
 	}
 	for _, bad := range []string{"momentum", "adam:-1", "adam:0.1:2"} {
-		if _, err := buildServerOpt(bad); err == nil {
-			t.Fatalf("buildServerOpt(%q) accepted", bad)
+		if _, err := aggstack.ParseServerOpt(bad); err == nil {
+			t.Fatalf("aggstack.ParseServerOpt(%q) accepted", bad)
 		}
 	}
 }
@@ -51,20 +51,20 @@ func FuzzStackFlag(f *testing.F) {
 	f.Add("none", "yogi:0.01")
 	f.Add(":::||", ":::")
 	f.Fuzz(func(t *testing.T, stack, opt string) {
-		if spec, err := buildStack(stack); err == nil {
+		if spec, err := aggstack.ParseStack(stack); err == nil {
 			if verr := spec.Validate(); verr != nil {
-				t.Fatalf("buildStack(%q) returned invalid spec %+v: %v", stack, spec, verr)
+				t.Fatalf("aggstack.ParseStack(%q) returned invalid spec %+v: %v", stack, spec, verr)
 			}
 			if _, serr := aggstack.NewStages(spec); serr != nil {
-				t.Fatalf("buildStack(%q) spec not buildable: %v", stack, serr)
+				t.Fatalf("aggstack.ParseStack(%q) spec not buildable: %v", stack, serr)
 			}
 		}
-		if spec, err := buildServerOpt(opt); err == nil {
+		if spec, err := aggstack.ParseServerOpt(opt); err == nil {
 			if verr := spec.Validate(); verr != nil {
-				t.Fatalf("buildServerOpt(%q) returned invalid spec %+v: %v", opt, spec, verr)
+				t.Fatalf("aggstack.ParseServerOpt(%q) returned invalid spec %+v: %v", opt, spec, verr)
 			}
 			if _, oerr := aggstack.NewOptimizer(spec); oerr != nil {
-				t.Fatalf("buildServerOpt(%q) spec not buildable: %v", opt, oerr)
+				t.Fatalf("aggstack.ParseServerOpt(%q) spec not buildable: %v", opt, oerr)
 			}
 		}
 	})
