@@ -138,6 +138,9 @@ func BenchmarkFaults(b *testing.B) { benchArtifact(b, "faults") }
 // family, the unit cost behind every timing artifact. The -f32 sub-runs
 // measure the same evaluation on the float32 engine (fl's DType "f32");
 // comparing ds vs ds-f32 gives the fp32 training speedup per model family.
+// Each op takes the next of 8 pre-sampled batches, as training does: on a
+// single repeated batch the branch predictor learns the activation signs
+// and hides the cost of data-dependent branches.
 func BenchmarkGradEval(b *testing.B) {
 	for _, ds := range []string{"adult", "fmnist", "cifar100", "shakespeare"} {
 		net, err := dataset.Model(ds)
@@ -148,20 +151,24 @@ func BenchmarkGradEval(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		const batch = 24
+		const batch, batches = 24, 8
 		r := rng.New(2)
 		params := net.InitParams(r)
 		sampler := dataset.NewSampler(train, r)
-		x := make([]float64, batch*train.In.Size())
-		y := make([]int, batch)
-		sampler.Batch(x, y)
+		inSize := batch * train.In.Size()
+		x := make([]float64, batches*inSize)
+		y := make([]int, batches*batch)
+		for i := 0; i < batches; i++ {
+			sampler.Batch(x[i*inSize:(i+1)*inSize], y[i*batch:(i+1)*batch])
+		}
 		b.Run(ds, func(b *testing.B) {
 			defer recordBench(b)()
 			eng := nn.NewEngine(net, batch)
 			grad := make([]float64, net.NumParams())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Gradient(params, x, y, grad)
+				j := i % batches
+				eng.Gradient(params, x[j*inSize:(j+1)*inSize], y[j*batch:(j+1)*batch], grad)
 			}
 			b.ReportMetric(float64(net.GradFlops(batch)), "flops/op")
 		})
@@ -175,7 +182,8 @@ func BenchmarkGradEval(b *testing.B) {
 			grad := make([]float32, net.NumParams())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Gradient(params32, x32, y, grad)
+				j := i % batches
+				eng.Gradient(params32, x32[j*inSize:(j+1)*inSize], y[j*batch:(j+1)*batch], grad)
 			}
 			b.ReportMetric(float64(net.GradFlops(batch)), "flops/op")
 		})

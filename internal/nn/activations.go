@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/rng"
 	"repro/internal/vecmath"
 )
@@ -39,52 +37,29 @@ func (l *relu) backward32(_, x, _, dy, dx, _ []float32, batch int, _ *scratch32)
 	reluBackward(x, dy, dx, batch*l.in.Size())
 }
 
+// reluForward computes y = x > 0 ? x : +0 elementwise in either precision
+// (NaN and −0 give +0) through the vecmath compare-to-mask kernels: a
+// branch on the sign of fresh activations would mispredict on about half
+// of them.
 func reluForward[F Float](x, y []F, n int) {
 	switch xs := any(x).(type) {
+	case []float64:
+		vecmath.ReLU(any(y).([]float64)[:n], xs[:n])
 	case []float32:
-		// Branchless max(0, v) = (v + |v|)/2 — exact for every finite v,
-		// and measurably faster than the compare on random-sign
-		// activations, where the branch mispredicts half the time.
-		ys := any(y).([]float32)
-		for i := 0; i < n; i++ {
-			v := xs[i]
-			ys[i] = (v + math.Float32frombits(math.Float32bits(v)&^(1<<31))) * 0.5
-		}
-	default:
-		for i := 0; i < n; i++ {
-			if x[i] > 0 {
-				y[i] = x[i]
-			} else {
-				y[i] = 0
-			}
-		}
+		vecmath.ReLU32(any(y).([]float32)[:n], xs[:n])
 	}
 }
 
+// reluBackward computes dx = x > 0 ? dy : +0; dx may alias dy.
 func reluBackward[F Float](x, dy, dx []F, n int) {
+	if dx == nil {
+		return // first layer: no input gradient wanted
+	}
 	switch xs := any(x).(type) {
+	case []float64:
+		vecmath.ReLUGate(any(dx).([]float64)[:n], xs[:n], any(dy).([]float64)[:n])
 	case []float32:
-		// Branchless gate: for non-NaN x, x > 0 exactly when its bit
-		// pattern read as int32 is positive (+0 is 0, negatives and -0
-		// have the sign bit set), so `keep` is 1 iff x > 0 — the &^ term
-		// handles -0, whose negation wraps. Multiplying dy's bits by
-		// 0/1 passes dy through or yields +0 without a data-dependent
-		// branch, which mispredicts on ~half of random-sign activations.
-		dys := any(dy).([]float32)
-		dxs := any(dx).([]float32)
-		for i := 0; i < n; i++ {
-			m := int32(math.Float32bits(xs[i]))
-			keep := (uint32(-m) >> 31) &^ (uint32(m) >> 31)
-			dxs[i] = math.Float32frombits(math.Float32bits(dys[i]) * keep)
-		}
-	default:
-		for i := 0; i < n; i++ {
-			if x[i] > 0 {
-				dx[i] = dy[i]
-			} else {
-				dx[i] = 0
-			}
-		}
+		vecmath.ReLUGate32(any(dx).([]float32)[:n], xs[:n], any(dy).([]float32)[:n])
 	}
 }
 
@@ -133,6 +108,9 @@ func tanhForward[F Float](x, y []F, n int) {
 }
 
 func tanhBackward[F Float](y, dy, dx []F, n int) {
+	if dx == nil {
+		return // first layer: no input gradient wanted
+	}
 	for i := 0; i < n; i++ {
 		dx[i] = dy[i] * (1 - y[i]*y[i])
 	}

@@ -150,12 +150,11 @@ func im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) 
 // col2im is the adjoint of im2col: it scatter-adds the K×N patch-gradient
 // matrix dcol back into the activation-gradient volume dx (inC×inH×inW),
 // which the caller must have zeroed. Taps that read zero padding in the
-// forward pass contribute nothing, mirroring im2col's valid ranges.
+// forward pass contribute nothing, mirroring im2col's valid ranges. Under
+// stride 1 — every model here — each valid row segment is one contiguous
+// elementwise add, written inline: the segments are at most an image row
+// wide, too short for a call or a SIMD kernel to pay off.
 func col2im[F Float](dx, dcol []F, inC, inH, inW, k, stride, pad, outH, outW int) {
-	if dxs, ok := any(dx).([]float32); ok {
-		col2im32(dxs, any(dcol).([]float32), inC, inH, inW, k, stride, pad, outH, outW)
-		return
-	}
 	n := outH * outW
 	r := 0
 	for ic := 0; ic < inC; ic++ {
@@ -171,47 +170,16 @@ func col2im[F Float](dx, dcol []F, inC, inH, inW, k, stride, pad, outH, outW int
 				}
 				for oy := oyLo; oy < oyHi; oy++ {
 					iy := oy*stride - pad + ky
-					dst := plane[iy*inW:]
-					seg := row[oy*outW+oxLo : oy*outW+oxHi]
 					ix := oxLo*stride - pad + kx
-					for i := range seg {
-						dst[ix] += seg[i]
-						ix += stride
-					}
-				}
-			}
-		}
-	}
-}
-
-// col2im32 is the float32 specialization of col2im: identical traversal,
-// but the contiguous stride-1 segments — the whole inner loop for the
-// stride-1 convolutions every model here uses — accumulate through the
-// AVX2 vecmath.Add32 kernel instead of a scalar read-add-store per tap.
-func col2im32(dx, dcol []float32, inC, inH, inW, k, stride, pad, outH, outW int) {
-	n := outH * outW
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		plane := dx[ic*inH*inW : (ic+1)*inH*inW]
-		for ky := 0; ky < k; ky++ {
-			oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
-			for kx := 0; kx < k; kx++ {
-				row := dcol[r*n : (r+1)*n]
-				r++
-				oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
-				if oxLo >= oxHi {
-					continue
-				}
-				for oy := oyLo; oy < oyHi; oy++ {
-					iy := oy*stride - pad + ky
-					dst := plane[iy*inW:]
 					seg := row[oy*outW+oxLo : oy*outW+oxHi]
-					ix := oxLo*stride - pad + kx
 					if stride == 1 {
-						d := dst[ix : ix+len(seg)]
-						vecmath.Add32(d, d, seg)
+						d := plane[iy*inW+ix:][:len(seg)]
+						for i, v := range seg {
+							d[i] += v
+						}
 						continue
 					}
+					dst := plane[iy*inW:]
 					for i := range seg {
 						dst[ix] += seg[i]
 						ix += stride
@@ -270,8 +238,11 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 	inSize := l.in.Size()
 	outSize := l.out.Size()
 	cols := sc.colBuf(batch * kp * n) // packed by the preceding forward
-	dcol := sc.floatBuf(kp * n)
-	zeroF(dx[:batch*inSize])
+	var dcol []F
+	if dx != nil {
+		dcol = sc.floatBuf(kp * n)
+		zeroF(dx[:batch*inSize])
+	}
 	for s := 0; s < batch; s++ {
 		col := cols[s*kp*n : (s+1)*kp*n]
 		dys := dy[s*outSize : (s+1)*outSize]
@@ -280,6 +251,9 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 		// db[oc] += Σ over output positions of dY[oc].
 		for oc := 0; oc < l.outC; oc++ {
 			db[oc] += sumF(dys[oc*n : (oc+1)*n])
+		}
+		if dx == nil {
+			continue // first layer: no input gradient wanted
 		}
 		// dcol = Wᵀ·dY (K×outC · outC×N), then scatter back to dX.
 		gemmATB(dcol, w, dys, l.outC, kp, n, false)

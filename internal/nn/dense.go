@@ -72,6 +72,9 @@ func denseBackward[F Float](l *dense, params, x, dy, dx, dparams []F, batch int)
 	gemmATB(dparams[:in*l.out], x[:batch*in], dy[:batch*l.out], batch, in, l.out, true)
 	// db += column sums of dy.
 	sumRowsAccF(dparams[in*l.out:], dy[:batch*l.out], batch, l.out)
+	if dx == nil {
+		return // first layer: no input gradient wanted
+	}
 	// dx = dy·Wᵀ.
 	gemmABT(dx[:batch*in], dy[:batch*l.out], w, batch, l.out, in, false)
 }

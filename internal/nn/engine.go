@@ -16,7 +16,7 @@ type Engine struct {
 	net      *Network
 	maxBatch int
 	acts     [][]float64 // acts[i] is the output buffer of layer i-1 (acts[0] unused; input comes from caller)
-	dacts    [][]float64 // gradient buffers per boundary, same layout
+	dacts    [][]float64 // gradient buffers per boundary, same layout (dacts[0] stays nil)
 	scratch  []scratch
 	evalPool []*Engine // lazily grown worker engines for parallel Accuracy
 }
@@ -41,12 +41,13 @@ func NewEngine(net *Network, maxBatch int) *Engine {
 
 // ensureGradBuffers allocates the backward-pass activation-gradient
 // buffers on first use, so inference-only engines (prediction, the
-// Accuracy worker pool) stay at half the footprint.
+// Accuracy worker pool) stay at half the footprint. dacts[0] is never
+// allocated: the first layer's backward gets dx == nil, so the loss
+// gradient buffer dacts[len(layers)] is the allocated sentinel.
 func (e *Engine) ensureGradBuffers() {
-	if e.dacts[0] != nil {
+	if e.dacts[len(e.net.layers)] != nil {
 		return
 	}
-	e.dacts[0] = make([]float64, e.maxBatch*e.net.in.Size())
 	for i, l := range e.net.layers {
 		e.dacts[i+1] = make([]float64, e.maxBatch*l.outShape().Size())
 	}
@@ -77,7 +78,8 @@ func (e *Engine) forwardPass(params, x []float64, batch int) []float64 {
 
 // Gradient runs a full forward/backward pass over the mini-batch x (row-
 // major batch×inputSize) with integer labels, writes the gradient of the
-// mean loss into grad (zeroed first), and returns the mean loss.
+// mean loss into grad (zeroed first), and returns the mean loss. The input
+// gradient is not computed: layer 0's backward gets dx == nil.
 func (e *Engine) Gradient(params, x []float64, labels []int, grad []float64) float64 {
 	batch := len(labels)
 	e.checkBatch(x, batch)

@@ -39,10 +39,9 @@ func NewEngine32(net *Network, maxBatch int) *Engine32 {
 // ensureGradBuffers mirrors Engine.ensureGradBuffers: backward-pass
 // buffers are allocated on first Gradient call.
 func (e *Engine32) ensureGradBuffers() {
-	if e.dacts[0] != nil {
+	if e.dacts[len(e.net.layers)] != nil {
 		return
 	}
-	e.dacts[0] = make([]float32, e.maxBatch*e.net.in.Size())
 	for i, l := range e.net.layers {
 		e.dacts[i+1] = make([]float32, e.maxBatch*l.outShape().Size())
 	}
@@ -72,7 +71,8 @@ func (e *Engine32) forwardPass(params, x []float32, batch int) []float32 {
 
 // Gradient runs a full forward/backward pass over the mini-batch x (row-
 // major batch×inputSize) with integer labels, writes the gradient of the
-// mean loss into grad (zeroed first), and returns the mean loss.
+// mean loss into grad (zeroed first), and returns the mean loss. Like
+// Engine.Gradient, it skips the input gradient (dx == nil for layer 0).
 func (e *Engine32) Gradient(params, x []float32, labels []int, grad []float32) float64 {
 	batch := len(labels)
 	e.checkBatch(x, batch)

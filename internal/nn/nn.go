@@ -45,7 +45,7 @@ func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 type scratchOf[F Float] struct {
 	ints     []int
 	floats   []F
-	cols     []F              // im2col packing, kept separate so it survives floatBuf use
+	cols     []F             // im2col packing, kept separate so it survives floatBuf use
 	children []*scratchOf[F] // sub-layer scratches for composite layers (residual)
 }
 
@@ -106,7 +106,10 @@ type layer interface {
 	forward(params, x, y []float64, batch int, sc *scratch)
 	// backward consumes dy (batch×outSize), writes dx (batch×inSize) and
 	// accumulates parameter gradients into dparams. x and y are the buffers
-	// from the immediately preceding forward call with the same batch.
+	// from the immediately preceding forward call with the same batch. A
+	// nil dx means the input gradient is not wanted (the engines pass nil
+	// to the first layer): the layer skips computing it but still
+	// accumulates dparams exactly as it would otherwise.
 	backward(params, x, y, dy, dx, dparams []float64, batch int, sc *scratch)
 	// forward32/backward32 are the float32 twins, used by Engine32.
 	forward32(params, x, y []float32, batch int, sc *scratch32)

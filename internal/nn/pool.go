@@ -59,8 +59,8 @@ func maxPoolForward[F Float](l *maxPool2d, x, y []F, batch int, sc *scratchOf[F]
 	outH, outW := l.out.H, l.out.W
 	inSize, outSize := l.in.Size(), l.out.Size()
 	arg := sc.intBuf(batch * outSize)
-	if xs, ok := any(x).([]float32); ok && l.k == 2 {
-		maxPool2x2Forward32(l, xs, any(y).([]float32), arg, batch)
+	if l.k == 2 {
+		maxPool2x2Forward(l, x, y, arg, batch)
 		return
 	}
 	for s := 0; s < batch; s++ {
@@ -71,8 +71,11 @@ func maxPoolForward[F Float](l *maxPool2d, x, y []F, batch int, sc *scratchOf[F]
 			base := c * inH * inW
 			for oy := 0; oy < outH; oy++ {
 				for ox := 0; ox < outW; ox++ {
-					best := F(math.Inf(-1))
-					bestIdx := -1
+					// Seeded from the window's first tap, not a −Inf
+					// sentinel, so an all −Inf or NaN window still records
+					// a real argmax (first-wins, like the 2×2 path).
+					bestIdx := base + oy*l.k*inW + ox*l.k
+					best := xs[bestIdx]
 					for ky := 0; ky < l.k; ky++ {
 						row := base + (oy*l.k+ky)*inW + ox*l.k
 						for kx := 0; kx < l.k; kx++ {
@@ -91,20 +94,23 @@ func maxPoolForward[F Float](l *maxPool2d, x, y []F, batch int, sc *scratchOf[F]
 	}
 }
 
-// maxPool2x2Forward32 is the float32 fast path for the ubiquitous 2×2
-// window: the window loops unroll into three compares over two adjacent
-// input rows (no −Inf sentinel, no per-tap index arithmetic), which
-// roughly halves the pooling cost on the CNN models. Tie-breaking keeps
-// the generic loop's first-wins order (row-major within the window), so
-// the recorded argmax — and therefore the backward routing — is
-// identical.
-func maxPool2x2Forward32(l *maxPool2d, x, y []float32, arg []int, batch int) {
+// maxPool2x2Forward is the fast path for the ubiquitous 2×2 window: the
+// window loops unroll into three compares over two adjacent input rows,
+// and none of them is a branch — the order of fresh activations would
+// mispredict about half the time. The running maximum is carried as the
+// bits of its (exact) float64 widening and each compare selects those
+// bits and the index with integer CMOVs. The pooled values are gathered
+// through the recorded indices in a second pass (the compiler turns a
+// select that addresses a load back into a branch), which also keeps
+// their exact bits in both precisions. Tie-breaking keeps the generic loop's first-wins order
+// (row-major within the window, a NaN wins only as the first tap), so the
+// recorded argmax — and therefore the backward routing — is identical.
+func maxPool2x2Forward[F Float](l *maxPool2d, x, y []F, arg []int, batch int) {
 	inH, inW := l.in.H, l.in.W
 	outH, outW := l.out.H, l.out.W
 	inSize, outSize := l.in.Size(), l.out.Size()
 	for s := 0; s < batch; s++ {
 		xs := x[s*inSize : (s+1)*inSize]
-		ys := y[s*outSize : (s+1)*outSize]
 		args := arg[s*outSize : (s+1)*outSize]
 		for c := 0; c < l.in.C; c++ {
 			base := c * inH * inW
@@ -115,25 +121,43 @@ func maxPool2x2Forward32(l *maxPool2d, x, y []float32, arg []int, batch int) {
 				for ox := 0; ox < outW; ox++ {
 					i0 := r0 + 2*ox
 					i1 := r1 + 2*ox
-					bi, bv := i0, xs[i0]
-					if v := xs[i0+1]; v > bv {
-						bi, bv = i0+1, v
-					}
-					if v := xs[i1]; v > bv {
-						bi, bv = i1, v
-					}
-					if v := xs[i1+1]; v > bv {
-						bi, bv = i1+1, v
-					}
-					ys[o+ox] = bv
+					bi, bb := i0, math.Float64bits(float64(xs[i0]))
+					bi, bb = maxStep(bi, bb, i0+1, float64(xs[i0+1]))
+					bi, bb = maxStep(bi, bb, i1, float64(xs[i1]))
+					bi, _ = maxStep(bi, bb, i1+1, float64(xs[i1+1]))
 					args[o+ox] = bi
 				}
 			}
 		}
+		ys := y[s*outSize : (s+1)*outSize]
+		for o, i := range args {
+			ys[o] = xs[i]
+		}
 	}
 }
 
+// maxStep folds tap j with value v into a window's running maximum (index
+// bi, value bits bb): v replaces it only when v > max, so ties and NaN
+// taps keep the earlier winner. Both selects are masks, not branches.
+func maxStep(bi int, bb uint64, j int, v float64) (int, uint64) {
+	m := gtMask(v, math.Float64frombits(bb))
+	return bi ^ (bi^j)&int(m), bb ^ (bb^math.Float64bits(v))&m
+}
+
+// gtMask is all ones when a > b and zero otherwise (NaN compares false).
+// The single integer select compiles to a compare plus CMOV, not a branch.
+func gtMask(a, b float64) uint64 {
+	m := uint64(0)
+	if a > b {
+		m = ^uint64(0)
+	}
+	return m
+}
+
 func maxPoolBackward[F Float](l *maxPool2d, dy, dx []F, batch int, ints []int) {
+	if dx == nil {
+		return // first layer: no input gradient wanted
+	}
 	inSize, outSize := l.in.Size(), l.out.Size()
 	arg := ints[:batch*outSize] // recorded by forward
 	zeroF(dx[:batch*inSize])
@@ -198,6 +222,9 @@ func gavgForward[F Float](l *globalAvgPool, x, y []F, batch int) {
 }
 
 func gavgBackward[F Float](l *globalAvgPool, dy, dx []F, batch int) {
+	if dx == nil {
+		return // first layer: no input gradient wanted
+	}
 	hw := l.in.H * l.in.W
 	inSize := l.in.Size()
 	inv := F(1.0 / float64(hw))
