@@ -21,9 +21,13 @@ var (
 	benchResMu sync.Mutex
 	benchRes   = map[string]benchjson.Record{}
 	benchExtra = map[string]map[string]float64{}
+	// benchHost is read once, as the first recorded benchmark starts.
+	benchHost     *benchjson.Host
+	benchHostOnce sync.Once
 )
 
-// recordBench captures a benchmark's timing and allocation rates. Use as
+// recordBench captures a benchmark's timing and allocation rates, and
+// the host they were measured on. Use as
 // the benchmark's first statement:
 //
 //	defer recordBench(b)()
@@ -35,6 +39,10 @@ var (
 // sequentially, so the numbers include any setup before b.ResetTimer,
 // which makes them an upper bound rather than the timer-scoped figure.
 func recordBench(b *testing.B) func() {
+	benchHostOnce.Do(func() {
+		h := benchjson.CurrentHost()
+		benchHost = &h
+	})
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	return func() {
@@ -43,6 +51,7 @@ func recordBench(b *testing.B) func() {
 		benchResMu.Lock()
 		defer benchResMu.Unlock()
 		benchRes[b.Name()] = benchjson.Record{
+			Host:        benchHost,
 			Name:        b.Name(),
 			N:           b.N,
 			NsPerOp:     float64(b.Elapsed().Nanoseconds()) / float64(b.N),

@@ -258,12 +258,16 @@ func BenchmarkGEMM(b *testing.B) {
 }
 
 // BenchmarkIm2col tracks the patch-packing step that lowers convolution
-// onto GEMM, at the conv shapes of the model zoo.
+// onto GEMM, one sample per op, at the conv shapes of the model zoo: the
+// paper CNN's two convolutions on fmnist and ResNetLite's residual and
+// stride-2 transition convolutions on cifar100.
 func BenchmarkIm2col(b *testing.B) {
 	cases := []struct {
 		name                          string
 		inC, inH, inW, k, stride, pad int
 	}{
+		{"fmnist-conv1", 1, 8, 8, 3, 1, 1},
+		{"fmnist-conv2", 6, 4, 4, 3, 1, 1},
 		{"residual-8ch-8x8", 8, 8, 8, 3, 1, 1},
 		{"residual-16ch-4x4", 16, 4, 4, 3, 1, 1},
 		{"transition-s2", 8, 8, 8, 3, 2, 1},

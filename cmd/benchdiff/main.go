@@ -18,6 +18,12 @@
 // allocs/op is deterministic, and the pinned kernels are all 0-alloc in
 // steady state, so a new allocation on a hot path is a real regression no
 // matter how fast the kernel is.
+//
+// Records carry the host they were measured on (CPU model, GOMAXPROCS, Go
+// version, commit). benchdiff prints both sides' hosts and warns loudly
+// when the compared records come from different machines, marking each
+// such line: an ns/op delta across machines measures the machines. The
+// gates themselves do not change.
 package main
 
 import (
@@ -31,12 +37,12 @@ import (
 )
 
 // defaultPins are the kernel families whose ns/op and allocs/op the gate
-// watches: the compute substrate's GEMM and gradient paths, the fused and
-// sparse vector kernels, the uplink codecs, and the wire frame/payload
-// marshalling. Experiment-grade benchmarks (whole training grids and the
+// watches: the compute substrate's GEMM, conv packing and gradient paths,
+// the fused and sparse vector kernels, the uplink codecs, and the wire
+// frame/payload marshalling. Experiment-grade benchmarks (whole training grids and the
 // loopback throughput runs) are deliberately not pinned — their runtimes
 // swing with scheduling, not kernel regressions.
-const defaultPins = "BenchmarkGradEval,BenchmarkGEMM,BenchmarkCodec,BenchmarkSparseAggregate,BenchmarkAXPY,BenchmarkCosineSimilarity,BenchmarkAggStack,BenchmarkWirePayload,BenchmarkWireFrame"
+const defaultPins = "BenchmarkGradEval,BenchmarkGEMM,BenchmarkIm2col,BenchmarkCodec,BenchmarkSparseAggregate,BenchmarkAXPY,BenchmarkCosineSimilarity,BenchmarkAggStack,BenchmarkWirePayload,BenchmarkWireFrame"
 
 // gate holds the comparison thresholds.
 type gate struct {
@@ -58,6 +64,9 @@ type diffLine struct {
 	name      string
 	line      string
 	regressed bool
+	// otherHost marks a comparison whose two records were measured on
+	// different machines.
+	otherHost bool
 }
 
 // compare gates every fresh benchmark that matches a pinned prefix and
@@ -101,11 +110,16 @@ func compare(baseline, fresh map[string]benchjson.Record, prefixes []string, g g
 		if len(reasons) > 0 {
 			status = "REGRESSED (" + strings.Join(reasons, ", ") + ")"
 		}
+		otherHost := base.Host != nil && f.Host != nil && !base.Host.SameMachine(*f.Host)
+		if otherHost {
+			status += "  [different host]"
+		}
 		out = append(out, diffLine{
 			name: name,
 			line: fmt.Sprintf("%-55s %12.0f -> %12.0f ns/op  %5.0f -> %5.0f allocs/op  %s",
 				name, base.NsPerOp, f.NsPerOp, base.AllocsPerOp, f.AllocsPerOp, status),
 			regressed: len(reasons) > 0,
+			otherHost: otherHost,
 		})
 	}
 	return out
@@ -141,18 +155,53 @@ func main() {
 		minNs:      *minNs,
 		allocSlack: *allocSlack,
 	})
-	regressed := 0
+	fmt.Println("baseline host:", hostsOf(baseline, lines))
+	fmt.Println("fresh host:   ", hostsOf(fresh, lines))
+	regressed, otherHost := 0, 0
 	for _, l := range lines {
 		if l.regressed {
 			regressed++
 		}
+		if l.otherHost {
+			otherHost++
+		}
 		fmt.Println(l.line)
+	}
+	if otherHost > 0 {
+		fmt.Printf("benchdiff: WARNING: %d of %d comparisons pair records from different hosts (CPU, GOMAXPROCS or Go version); their ns/op deltas measure the machines, not the code\n",
+			otherHost, len(lines))
 	}
 	fmt.Printf("benchdiff: %d pinned kernels compared, %d regressed (ns/op beyond %.0f%% or allocs/op beyond +%.0f)\n",
 		len(lines), regressed, 100**threshold, *allocSlack)
 	if regressed > 0 {
 		os.Exit(1)
 	}
+}
+
+// hostsOf lists the distinct hosts of the compared benchmarks' records in
+// one file, "unrecorded" standing for records that carry none.
+func hostsOf(records map[string]benchjson.Record, lines []diffLine) string {
+	seen := map[string]bool{}
+	var hosts []string
+	for _, l := range lines {
+		r, ok := records[l.name]
+		if !ok {
+			continue
+		}
+		h := "unrecorded"
+		if r.Host != nil {
+			h = r.Host.String()
+		}
+		if !seen[h] {
+			seen[h] = true
+			hosts = append(hosts, h)
+		}
+	}
+	if len(hosts) == 0 {
+		return "none compared"
+	}
+	sort.Strings(hosts)
+	return strings.Join(hosts, "; ")
 }
 
 // pinned reports whether the benchmark name matches a gated prefix.

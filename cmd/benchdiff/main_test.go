@@ -86,6 +86,39 @@ func TestCompareGates(t *testing.T) {
 	}
 }
 
+// TestCompareMarksOtherHost pins the host check: a pair measured on
+// different machines is marked and reported, a pair that differs only in
+// commit or lacks a host is not, and neither changes the gate's verdict.
+func TestCompareMarksOtherHost(t *testing.T) {
+	g := gate{threshold: 0.25, minNs: 1000, allocSlack: 16}
+	a := &benchjson.Host{CPU: "cpu A", GOMAXPROCS: 2, Go: "go1.24.0", Commit: "abc"}
+	b := &benchjson.Host{CPU: "cpu B", GOMAXPROCS: 2, Go: "go1.24.0", Commit: "abc"}
+	aNext := &benchjson.Host{CPU: "cpu A", GOMAXPROCS: 2, Go: "go1.24.0", Commit: "def"}
+	baseline := map[string]benchjson.Record{
+		"BenchmarkGEMM/moved":   {Name: "BenchmarkGEMM/moved", NsPerOp: 100000, Host: a},
+		"BenchmarkGEMM/same":    {Name: "BenchmarkGEMM/same", NsPerOp: 100000, Host: a},
+		"BenchmarkGEMM/unknown": {Name: "BenchmarkGEMM/unknown", NsPerOp: 100000},
+	}
+	fresh := map[string]benchjson.Record{
+		"BenchmarkGEMM/moved":   {Name: "BenchmarkGEMM/moved", NsPerOp: 200000, Host: b},
+		"BenchmarkGEMM/same":    {Name: "BenchmarkGEMM/same", NsPerOp: 100000, Host: aNext},
+		"BenchmarkGEMM/unknown": {Name: "BenchmarkGEMM/unknown", NsPerOp: 100000, Host: b},
+	}
+	lines := compare(baseline, fresh, []string{"BenchmarkGEMM"}, g)
+	for _, l := range lines {
+		want := l.name == "BenchmarkGEMM/moved"
+		if l.otherHost != want || strings.Contains(l.line, "different host") != want {
+			t.Fatalf("%s: otherHost = %v, want %v (%s)", l.name, l.otherHost, want, l.line)
+		}
+		if l.regressed != want {
+			t.Fatalf("%s: regressed = %v; the host check must not change the gate", l.name, l.regressed)
+		}
+	}
+	if got, want := hostsOf(baseline, lines), `unrecorded; {"cpu":"cpu A","gomaxprocs":2,"go":"go1.24.0","commit":"abc"}`; got != want {
+		t.Fatalf("baseline hosts = %s, want %s", got, want)
+	}
+}
+
 func TestLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := os.WriteFile(path, []byte(`[{"name":"BenchmarkX","n":3,"ns_per_op":42.5}]`), 0o644); err != nil {

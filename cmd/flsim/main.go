@@ -73,8 +73,12 @@ func run() error {
 		if len(conflict) > 0 {
 			return fmt.Errorf("-experiment runs a fixed grid; incompatible with %s", strings.Join(conflict, " "))
 		}
+		full, err := spec.FullScale()
+		if err != nil {
+			return err
+		}
 		expScale := experiments.ScaleQuick
-		if spec.Scale == "full" {
+		if full {
 			expScale = experiments.ScaleFull
 		}
 		return runExperiment(*experiment, expScale, spec.Seed)

@@ -89,3 +89,41 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Fatalf("want IsNotExist, got %v", err)
 	}
 }
+
+// TestHostRoundtrip pins the optional host object: it survives a
+// Flush/Load roundtrip, and a record without one stays without one.
+func TestHostRoundtrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	h := &Host{CPU: "cpu", GOMAXPROCS: 4, Go: "go1.24.0", Commit: "abc-dirty"}
+	if err := Flush(path, map[string]Record{
+		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 1, Host: h},
+		"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := got["BenchmarkA"].Host; a == nil || *a != *h {
+		t.Fatalf("host lost on roundtrip: %+v", a)
+	}
+	if b := got["BenchmarkB"].Host; b != nil {
+		t.Fatalf("record without a host gained one: %+v", b)
+	}
+	if !h.SameMachine(Host{CPU: "cpu", GOMAXPROCS: 4, Go: "go1.24.0", Commit: "def"}) {
+		t.Fatal("hosts differing only in commit must be the same machine")
+	}
+	for _, o := range []Host{
+		{CPU: "other", GOMAXPROCS: 4, Go: "go1.24.0"},
+		{CPU: "cpu", GOMAXPROCS: 2, Go: "go1.24.0"},
+		{CPU: "cpu", GOMAXPROCS: 4, Go: "go1.22.0"},
+	} {
+		if h.SameMachine(o) {
+			t.Fatalf("%v and %v must be different machines", h, o)
+		}
+	}
+	if c := CurrentHost(); c.CPU == "" || c.GOMAXPROCS < 1 || c.Go == "" || c.Commit == "" {
+		t.Fatalf("CurrentHost left a field empty: %+v", c)
+	}
+}

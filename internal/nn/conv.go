@@ -12,12 +12,19 @@ import (
 // symmetric zero padding. Weights are laid out [outC][inC][k][k] followed
 // by one bias per output channel.
 //
-// Forward and backward are lowered onto the vecmath GEMM kernels via
-// im2col/col2im (see DESIGN.md §2): each sample's input is packed into a
-// K×N patch matrix (K = inC·k·k patch rows, N = outH·outW output
-// positions), so the convolution itself is a dense outC×K×N matrix
-// product. Stride and zero padding are resolved once per row in the
-// packing step, which keeps every inner loop branch-free.
+// Forward and backward are lowered onto the vecmath GEMM kernels a whole
+// mini-batch at a time (see DESIGN.md §2). im2col packs every sample's
+// input into a K×N patch matrix (K = inC·k·k patch rows, N = outH·outW
+// output positions) in one pass, so the convolution is a dense outC×K×N
+// product per sample, issued as one strided GEMM walk over the batch.
+// Stride and zero padding are resolved once per kernel tap, which keeps
+// every inner loop branch-free. For stride-1 "same" convolutions — every
+// conv in the model zoo but the stride-2 transition — a patch row is the
+// input plane shifted by one constant offset, so packing is one
+// contiguous copy per row and col2im one contiguous add per row. The
+// weight gradient sums the samples' dY·colᵀ products in sample order
+// through one batched kernel; every output is bit-identical to running
+// the samples one at a time.
 type conv2d struct {
 	in          Shape
 	out         Shape
@@ -102,28 +109,58 @@ func validRange(outExtent, extent, stride, pad, koff int) (lo, hi int) {
 // in the zero padding. It is exported for the micro-benchmarks and for
 // downstream code that wants the packed patch matrix directly.
 func Im2col(dst, x []float64, inC, inH, inW, k, stride, pad, outH, outW int) {
-	im2col(dst, x, inC, inH, inW, k, stride, pad, outH, outW)
+	im2col(dst, x, 1, inC, inH, inW, k, stride, pad, outH, outW)
 }
 
-func im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) {
+// im2col packs batch samples (x holds their volumes back to back) into
+// batch consecutive K×N patch matrices. The loops run tap-major: a tap's
+// valid ranges and shift are resolved once and serve every input plane
+// of the batch. Plane q = s·inC+ic owns the patch rows q·k·k .. q·k·k+k·k-1
+// (sample s's matrix starts at row s·K = s·inC·k·k), so one loop over q
+// covers every sample and channel.
+//
+// When stride is 1 and outW == inW (a "same" convolution, 2·pad = k-1),
+// output cell j of tap (ky, kx) reads input cell j+off of the plane with
+// off = (ky-pad)·inW + kx-pad, so the rows [oyLo, oyHi) are one
+// contiguous copy. That copy also fills the cells whose column lies in
+// the horizontal padding with values wrapped in from the neighbouring
+// image row; zeroWrapped clears them afterwards. Other geometries copy
+// one valid segment per output row.
+func im2col[F Float](dst, x []F, batch, inC, inH, inW, k, stride, pad, outH, outW int) {
 	n := outH * outW
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		plane := x[ic*inH*inW : (ic+1)*inH*inW]
-		for ky := 0; ky < k; ky++ {
-			oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
-			for kx := 0; kx < k; kx++ {
-				row := dst[r*n : (r+1)*n]
-				r++
-				oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
+	hw := inH * inW
+	planes := batch * inC
+	shifted := stride == 1 && outW == inW
+	for ky := 0; ky < k; ky++ {
+		oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
+		for kx := 0; kx < k; kx++ {
+			tap := ky*k + kx
+			oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
+			off := (ky-pad)*inW + kx - pad
+			lo, hi := shiftedRange(oyLo, oyHi, outW, off, hw)
+			for q := 0; q < planes; q++ {
+				row := dst[(q*k*k+tap)*n:][:n]
 				if oxLo >= oxHi {
 					zeroF(row)
 					continue
 				}
-				// Zero only the padding margins — the rows above/below the
-				// valid oy range and the left/right edges of valid rows —
-				// so interior taps (the common case at pad≤1) are written
-				// exactly once.
+				plane := x[q*hw:][:hw]
+				if shifted {
+					// Zero the cells outside the copied range (the rows
+					// above and below the valid oy range and any wrapped
+					// cell the clamp dropped), copy, then zero the
+					// wrapped cells inside it.
+					for i := 0; i < lo; i++ {
+						row[i] = 0
+					}
+					for i := hi; i < n; i++ {
+						row[i] = 0
+					}
+					copy(row[lo:hi], plane[lo+off:hi+off])
+					zeroWrapped(row, oyLo, oyHi, outW, oxLo, oxHi)
+					continue
+				}
+				// Zero the rows above and below the valid oy range.
 				zeroF(row[:oyLo*outW])
 				zeroF(row[oyHi*outW:])
 				for oy := oyLo; oy < oyHi; oy++ {
@@ -147,25 +184,71 @@ func im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) 
 	}
 }
 
-// col2im is the adjoint of im2col: it scatter-adds the K×N patch-gradient
-// matrix dcol back into the activation-gradient volume dx (inC×inH×inW),
-// which the caller must have zeroed. Taps that read zero padding in the
-// forward pass contribute nothing, mirroring im2col's valid ranges. Under
-// stride 1 — every model here — each valid row segment is one contiguous
-// elementwise add, written inline: the segments are at most an image row
-// wide, too short for a call or a SIMD kernel to pay off.
-func col2im[F Float](dx, dcol []F, inC, inH, inW, k, stride, pad, outH, outW int) {
+// shiftedRange clamps the valid rows' cells [oyLo·outW, oyHi·outW) of a
+// shifted patch row to those whose source cell j+off lies inside the
+// plane. The cells it drops are all horizontal-padding cells: a valid
+// (oy, ox) always reads inside the plane.
+func shiftedRange(oyLo, oyHi, outW, off, hw int) (lo, hi int) {
+	lo = max(oyLo*outW, -off)
+	hi = max(min(oyHi*outW, hw-off), lo)
+	return lo, hi
+}
+
+// zeroWrapped zeroes the cells of rows [oyLo, oyHi) of a patch row whose
+// column lies outside the valid range [oxLo, oxHi): at most |kx-pad| per
+// row, the cells a shifted copy or add would wrap into the neighbouring
+// image row.
+func zeroWrapped[F Float](row []F, oyLo, oyHi, outW, oxLo, oxHi int) {
+	rows := row[:oyHi*outW]
+	for ox := 0; ox < oxLo; ox++ {
+		for i := oyLo*outW + ox; i < len(rows); i += outW {
+			rows[i] = 0
+		}
+	}
+	for ox := oxHi; ox < outW; ox++ {
+		for i := oyLo*outW + ox; i < len(rows); i += outW {
+			rows[i] = 0
+		}
+	}
+}
+
+// col2im is the adjoint of im2col: it scatter-adds the batch's K×N
+// patch-gradient matrices dcol into the activation-gradient volumes dx
+// (inC×inH×inW each), which the caller must have zeroed. Taps that read
+// zero padding in the forward pass contribute nothing, and every dx
+// element receives its rows' contributions in ascending row order, as a
+// per-row scatter would add them.
+//
+// On the shifted path (see im2col) each row is one contiguous add over
+// [lo, hi). Its wrapped cells are first set to +0 in dcol, which is
+// therefore scratch. Adding +0 is the identity on every dx value except
+// -0, and dx never holds -0: it starts at +0, and under round-to-nearest
+// a sum is -0 only when both addends are. So the contiguous add is bit
+// for bit the per-segment one, NaNs, infinities and subnormals included.
+func col2im[F Float](dx, dcol []F, batch, inC, inH, inW, k, stride, pad, outH, outW int) {
 	n := outH * outW
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		plane := dx[ic*inH*inW : (ic+1)*inH*inW]
-		for ky := 0; ky < k; ky++ {
-			oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
-			for kx := 0; kx < k; kx++ {
-				row := dcol[r*n : (r+1)*n]
-				r++
-				oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
-				if oxLo >= oxHi {
+	hw := inH * inW
+	planes := batch * inC
+	shifted := stride == 1 && outW == inW
+	for ky := 0; ky < k; ky++ {
+		oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
+		for kx := 0; kx < k; kx++ {
+			tap := ky*k + kx
+			oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
+			if oxLo >= oxHi {
+				continue
+			}
+			off := (ky-pad)*inW + kx - pad
+			lo, hi := shiftedRange(oyLo, oyHi, outW, off, hw)
+			for q := 0; q < planes; q++ {
+				row := dcol[(q*k*k+tap)*n:][:n]
+				plane := dx[q*hw:][:hw]
+				if shifted {
+					zeroWrapped(row, oyLo, oyHi, outW, oxLo, oxHi)
+					d := plane[lo+off : hi+off]
+					for i, v := range row[lo:hi] {
+						d[i] += v
+					}
 					continue
 				}
 				for oy := oyLo; oy < oyHi; oy++ {
@@ -211,19 +294,19 @@ func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratchOf[
 	n := l.out.H * l.out.W
 	w := params[:l.outC*kp]
 	bias := params[l.outC*kp:]
-	inSize := l.in.Size()
-	outSize := l.out.Size()
-	// One K×N patch matrix per sample, kept in sc.cols so backward can
-	// reuse the packing for the dW and dX products.
+	// The batch's K×N patch matrices stay in sc.cols so backward can
+	// reuse the packing for the dW product.
 	cols := sc.colBuf(batch * kp * n)
+	im2col(cols, x[:batch*l.in.Size()], batch, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
+	// Each sample's output is outC×N row-major, exactly the GEMM layout.
+	ys := y[:batch*l.out.Size()]
+	gemmBatch(ys, w, cols, batch, l.outC, kp, n, false)
 	for s := 0; s < batch; s++ {
-		col := cols[s*kp*n : (s+1)*kp*n]
-		im2col(col, x[s*inSize:(s+1)*inSize], l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
-		ys := y[s*outSize : (s+1)*outSize]
-		// ys is outC×N row-major, exactly the GEMM output layout.
-		gemm(ys, w, col, l.outC, kp, n, false)
-		for oc := 0; oc < l.outC; oc++ {
-			addConstF(bias[oc], ys[oc*n:(oc+1)*n])
+		for oc, b := range bias {
+			row := ys[(s*l.outC+oc)*n:][:n]
+			for i := range row {
+				row[i] += b
+			}
 		}
 	}
 }
@@ -235,28 +318,27 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 	w := params[:nw]
 	dw := dparams[:nw]
 	db := dparams[nw:]
-	inSize := l.in.Size()
-	outSize := l.out.Size()
 	cols := sc.colBuf(batch * kp * n) // packed by the preceding forward
-	var dcol []F
-	if dx != nil {
-		dcol = sc.floatBuf(kp * n)
-		zeroF(dx[:batch*inSize])
-	}
+	dys := dy[:batch*l.out.Size()]
+	// dW += dY_s·col_sᵀ (outC×N · N×K), added sample after sample.
+	gemmABTBatch(dw, dys, cols, batch, l.outC, n, kp)
+	// db[oc] += Σ over output positions of dY_s[oc], sample after sample.
 	for s := 0; s < batch; s++ {
-		col := cols[s*kp*n : (s+1)*kp*n]
-		dys := dy[s*outSize : (s+1)*outSize]
-		// dW += dY·colᵀ (outC×N · N×K).
-		gemmABT(dw, dys, col, l.outC, n, kp, true)
-		// db[oc] += Σ over output positions of dY[oc].
-		for oc := 0; oc < l.outC; oc++ {
-			db[oc] += sumF(dys[oc*n : (oc+1)*n])
+		for oc := range db {
+			var sum F
+			for _, v := range dys[(s*l.outC+oc)*n:][:n] {
+				sum += v
+			}
+			db[oc] += sum
 		}
-		if dx == nil {
-			continue // first layer: no input gradient wanted
-		}
-		// dcol = Wᵀ·dY (K×outC · outC×N), then scatter back to dX.
-		gemmATB(dcol, w, dys, l.outC, kp, n, false)
-		col2im(dx[s*inSize:(s+1)*inSize], dcol, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
 	}
+	if dx == nil {
+		return // first layer: no input gradient wanted
+	}
+	// dcol_s = Wᵀ·dY_s (K×outC · outC×N), then scatter back to dX.
+	dcol := sc.floatBuf(batch * kp * n)
+	gemmATBBatch(dcol, w, dys, batch, l.outC, kp, n, false)
+	dxs := dx[:batch*l.in.Size()]
+	zeroF(dxs)
+	col2im(dxs, dcol, batch, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
 }

@@ -46,6 +46,36 @@ func gemmABT[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	}
 }
 
+// The batched shims serve the convolution, which runs one GEMM walk per
+// mini-batch (see conv2d); each is bit-identical to the per-sample call.
+
+func gemmBatch[F Float](c, a, b []F, batch, m, k, n int, accumulate bool) {
+	switch cc := any(c).(type) {
+	case []float64:
+		vecmath.GemmBatch(cc, any(a).([]float64), any(b).([]float64), batch, m, k, n, accumulate)
+	case []float32:
+		vecmath.GemmBatch32(cc, any(a).([]float32), any(b).([]float32), batch, m, k, n, accumulate)
+	}
+}
+
+func gemmATBBatch[F Float](c, a, b []F, batch, m, k, n int, accumulate bool) {
+	switch cc := any(c).(type) {
+	case []float64:
+		vecmath.GemmATBBatch(cc, any(a).([]float64), any(b).([]float64), batch, m, k, n, accumulate)
+	case []float32:
+		vecmath.GemmATBBatch32(cc, any(a).([]float32), any(b).([]float32), batch, m, k, n, accumulate)
+	}
+}
+
+func gemmABTBatch[F Float](c, a, b []F, batch, m, k, n int) {
+	switch cc := any(c).(type) {
+	case []float64:
+		vecmath.GemmABTBatch(cc, any(a).([]float64), any(b).([]float64), batch, m, k, n)
+	case []float32:
+		vecmath.GemmABTBatch32(cc, any(a).([]float32), any(b).([]float32), batch, m, k, n)
+	}
+}
+
 func zeroF[F Float](x []F) {
 	for i := range x {
 		x[i] = 0
@@ -105,22 +135,6 @@ func sumRowsAccF[F Float](dst, a []F, m, n int) {
 			dst[j] += v
 		}
 	}
-}
-
-// addConstF computes x[i] += alpha in place.
-func addConstF[F Float](alpha F, x []F) {
-	for i := range x {
-		x[i] += alpha
-	}
-}
-
-// sumF returns the sum of the elements of x, accumulated in F.
-func sumF[F Float](x []F) F {
-	var s F
-	for _, v := range x {
-		s += v
-	}
-	return s
 }
 
 // Scalar transcendentals evaluate in float64 and round once to F: for

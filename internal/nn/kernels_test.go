@@ -175,7 +175,7 @@ func checkLayerKernels[F Float](t *testing.T, vals []F) {
 		outH, outW := c.inH+2*c.pad-c.k+1, c.inW+2*c.pad-c.k+1
 		dcol := cycle(vals, c.inC*c.k*c.k*outH*outW, 5)
 		got := make([]F, c.inC*c.inH*c.inW)
-		col2im(got, dcol, c.inC, c.inH, c.inW, c.k, 1, c.pad, outH, outW)
+		col2im(got, append([]F(nil), dcol...), 1, c.inC, c.inH, c.inW, c.k, 1, c.pad, outH, outW)
 		want := col2imRef(dcol, c.inC, c.inH, c.inW, c.k, 1, c.pad, outH, outW)
 		if i := sameBits(got, want, true); i >= 0 {
 			t.Fatalf("col2im %+v: dx[%d] = %v, want %v", c, i, got[i], want[i])

@@ -100,6 +100,19 @@ func (s *Spec) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&s.Parallelism, "parallelism", s.Parallelism, "local-training parallelism per process (0 = GOMAXPROCS)")
 }
 
+// FullScale parses -scale, which must be small or full. Build and
+// flsim's -experiment path both read the flag through it, so neither
+// runs an unknown scale as small.
+func (s Spec) FullScale() (bool, error) {
+	switch s.Scale {
+	case "small":
+		return false, nil
+	case "full":
+		return true, nil
+	}
+	return false, fmt.Errorf("unknown scale %q (want small|full)", s.Scale)
+}
+
 // Run is a built run: everything fl.Run takes.
 type Run struct {
 	Config fl.Config
@@ -124,8 +137,12 @@ func (s Spec) Build() (*Run, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown partition %q", s.Partition)
 	}
+	full, err := s.FullScale()
+	if err != nil {
+		return nil, err
+	}
 	scale := dataset.ScaleSmall
-	if s.Scale == "full" {
+	if full {
 		scale = dataset.ScaleFull
 	}
 	prof := experiments.Profile{

@@ -202,11 +202,29 @@ func TestBuildRejects(t *testing.T) {
 		func(s *Spec) { s.Fault = "nope" },
 		func(s *Spec) { s.AggStack = "nope" },
 		func(s *Spec) { s.ServerOpt = "nope" },
+		func(s *Spec) { s.Scale = "bogus" },
+		func(s *Spec) { s.Scale = "" },
 	} {
 		s := serverDefaults
 		mod(&s)
 		if _, err := s.Build(); err == nil {
 			t.Errorf("Build accepted %+v", s)
+		}
+	}
+}
+
+// TestFullScale pins the -scale spellings: small and full parse, anything
+// else — including the empty string and other casings — is an error.
+func TestFullScale(t *testing.T) {
+	for scale, want := range map[string]bool{"small": false, "full": true} {
+		got, err := Spec{Scale: scale}.FullScale()
+		if err != nil || got != want {
+			t.Errorf("FullScale(%q) = %v, %v; want %v, nil", scale, got, err, want)
+		}
+	}
+	for _, scale := range []string{"", "bogus", "Full", "SMALL", "quick"} {
+		if _, err := (Spec{Scale: scale}).FullScale(); err == nil {
+			t.Errorf("FullScale(%q) accepted", scale)
 		}
 	}
 }

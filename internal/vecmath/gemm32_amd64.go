@@ -56,9 +56,7 @@ func atb32Kernel4x8(a *float32, lda int, b *float32, ldb int, c *float32, ldc, m
 //go:noescape
 func atb32Kernel1x8(a *float32, lda int, b *float32, ldb int, c *float32, m int)
 
-// abt32Kernel2x4 computes the eight dot products of two A rows with four
-// B rows over k elements (k must be a positive multiple of 8), writing
-// {a0·b0, a0·b1, a0·b2, a0·b3, a1·b0, a1·b1, a1·b2, a1·b3} into out.
+// abt32Kernel2x4Batch is the float32 abtKernel2x4Batch (k ≥ 8).
 //
 //go:noescape
-func abt32Kernel2x4(a0, a1, b0, b1, b2, b3 *float32, k int, out *[8]float32)
+func abt32Kernel2x4Batch(a, b *float32, k, batch, sa, sb int, c *float32, ldc, load int)

@@ -353,17 +353,42 @@ atb32_1x8loop:
 	VZEROUPPER
 	RET
 
-// func abt32Kernel2x4(a0, a1, b0, b1, b2, b3 *float32, k int, out *[8]float32)
-TEXT ·abt32Kernel2x4(SB), NOSPLIT, $0-64
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ b0+16(FP), R10
-	MOVQ b1+24(FP), R11
-	MOVQ b2+32(FP), R12
-	MOVQ b3+40(FP), R13
-	MOVQ k+48(FP), CX
-	MOVQ out+56(FP), DI
+// func abt32Kernel2x4Batch(a, b *float32, k, batch, sa, sb int, c *float32, ldc, load int)
+//
+// The float32 twin of abtKernel2x4Batch: per sample, FMA chains over the
+// multiple-of-8 prefix of k, each 8-lane accumulator reduced as (lo+hi)
+// then two pairwise VHADDPS steps, the scalar k tail added product by
+// product, and the 2×4 result added into C (X14/X15) in sample order.
+// Requires k ≥ 8 and batch ≥ 1.
+TEXT ·abt32Kernel2x4Batch(SB), NOSPLIT, $0-72
+	MOVQ a+0(FP), R8
+	MOVQ b+8(FP), R10
+	MOVQ k+16(FP), AX
+	SHLQ $2, AX            // AX = row stride in bytes
+	LEAQ (R8)(AX*1), R9
+	LEAQ (R10)(AX*1), R11
+	LEAQ (R11)(AX*1), R12
+	LEAQ (R12)(AX*1), R13
+	MOVQ AX, BX
+	ANDQ $~31, BX          // BX = bytes of the multiple-of-8 prefix
+	MOVQ batch+24(FP), DX
+	MOVQ c+48(FP), DI
+	MOVQ ldc+56(FP), CX
+	SHLQ $2, CX
+	CMPQ load+64(FP), $0
+	JEQ  abt32bnegzero
+	VMOVUPS (DI), X14
+	VMOVUPS (DI)(CX*1), X15
+	JMP  abt32bsample
 
+abt32bnegzero:
+	// Overwrite mode: start the tile from -0 (sign bit only), the exact
+	// additive identity.
+	VPCMPEQD X14, X14, X14
+	VPSLLD $31, X14, X14
+	VMOVUPS X14, X15
+
+abt32bsample:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -372,14 +397,15 @@ TEXT ·abt32Kernel2x4(SB), NOSPLIT, $0-64
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
+	XORQ   SI, SI
 
-abt32_2x4loop:
-	VMOVUPS     (R8), Y8
-	VMOVUPS     (R9), Y9
-	VMOVUPS     (R10), Y10
-	VMOVUPS     (R11), Y11
-	VMOVUPS     (R12), Y12
-	VMOVUPS     (R13), Y13
+abt32bloop:
+	VMOVUPS     (R8)(SI*1), Y8
+	VMOVUPS     (R9)(SI*1), Y9
+	VMOVUPS     (R10)(SI*1), Y10
+	VMOVUPS     (R11)(SI*1), Y11
+	VMOVUPS     (R12)(SI*1), Y12
+	VMOVUPS     (R13)(SI*1), Y13
 	VFMADD231PS Y10, Y8, Y0
 	VFMADD231PS Y11, Y8, Y1
 	VFMADD231PS Y12, Y8, Y2
@@ -388,55 +414,70 @@ abt32_2x4loop:
 	VFMADD231PS Y11, Y9, Y5
 	VFMADD231PS Y12, Y9, Y6
 	VFMADD231PS Y13, Y9, Y7
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	ADDQ        $32, R12
-	ADDQ        $32, R13
-	SUBQ        $8, CX
-	JNZ         abt32_2x4loop
+	ADDQ        $32, SI
+	CMPQ        SI, BX
+	JB          abt32bloop
 
-	// Horizontal reduction of each 8-lane accumulator into out[0..7].
-	VEXTRACTF128 $1, Y0, X8
-	VADDPS       X8, X0, X0
-	VHADDPS      X0, X0, X0
-	VHADDPS      X0, X0, X0
-	VMOVSS       X0, (DI)
-	VEXTRACTF128 $1, Y1, X8
-	VADDPS       X8, X1, X1
-	VHADDPS      X1, X1, X1
-	VHADDPS      X1, X1, X1
-	VMOVSS       X1, 4(DI)
-	VEXTRACTF128 $1, Y2, X8
-	VADDPS       X8, X2, X2
-	VHADDPS      X2, X2, X2
-	VHADDPS      X2, X2, X2
-	VMOVSS       X2, 8(DI)
-	VEXTRACTF128 $1, Y3, X8
-	VADDPS       X8, X3, X3
-	VHADDPS      X3, X3, X3
-	VHADDPS      X3, X3, X3
-	VMOVSS       X3, 12(DI)
-	VEXTRACTF128 $1, Y4, X8
-	VADDPS       X8, X4, X4
-	VHADDPS      X4, X4, X4
-	VHADDPS      X4, X4, X4
-	VMOVSS       X4, 16(DI)
-	VEXTRACTF128 $1, Y5, X8
-	VADDPS       X8, X5, X5
-	VHADDPS      X5, X5, X5
-	VHADDPS      X5, X5, X5
-	VMOVSS       X5, 20(DI)
-	VEXTRACTF128 $1, Y6, X8
-	VADDPS       X8, X6, X6
-	VHADDPS      X6, X6, X6
-	VHADDPS      X6, X6, X6
-	VMOVSS       X6, 24(DI)
-	VEXTRACTF128 $1, Y7, X8
-	VADDPS       X8, X7, X7
-	VHADDPS      X7, X7, X7
-	VHADDPS      X7, X7, X7
-	VMOVSS       X7, 28(DI)
+	// Reduce each accumulator to lo+hi (4 lanes), then two pairwise
+	// VHADDPS steps, eight accumulators at once. After the second step
+	// the low 128-bit lane holds {r0c0, r0c1, r1c0, r1c1} and the high
+	// lane {r0c2, r0c3, r1c2, r1c3}; 64-bit unpacks regroup them into
+	// row 0 (X8) and row 1 (X9).
+	VPERM2F128   $0x20, Y2, Y0, Y8
+	VPERM2F128   $0x31, Y2, Y0, Y9
+	VADDPS       Y9, Y8, Y8
+	VPERM2F128   $0x20, Y3, Y1, Y9
+	VPERM2F128   $0x31, Y3, Y1, Y10
+	VADDPS       Y10, Y9, Y9
+	VHADDPS      Y9, Y8, Y8
+	VPERM2F128   $0x20, Y6, Y4, Y9
+	VPERM2F128   $0x31, Y6, Y4, Y10
+	VADDPS       Y10, Y9, Y9
+	VPERM2F128   $0x20, Y7, Y5, Y10
+	VPERM2F128   $0x31, Y7, Y5, Y11
+	VADDPS       Y11, Y10, Y10
+	VHADDPS      Y10, Y9, Y9
+	VHADDPS      Y9, Y8, Y8
+	VEXTRACTF128 $1, Y8, X10
+	VUNPCKHPD    X10, X8, X9
+	VUNPCKLPD    X10, X8, X8
+
+	// k tail: out += a·b one element at a time (multiply, then add).
+	CMPQ SI, AX
+	JAE  abt32badd
+
+abt32btail:
+	VMOVSS       (R10)(SI*1), X10
+	VINSERTPS    $0x10, (R11)(SI*1), X10, X10
+	VINSERTPS    $0x20, (R12)(SI*1), X10, X10
+	VINSERTPS    $0x30, (R13)(SI*1), X10, X10
+	VBROADCASTSS (R8)(SI*1), X11
+	VMULPS       X11, X10, X12
+	VADDPS       X8, X12, X8
+	VBROADCASTSS (R9)(SI*1), X11
+	VMULPS       X11, X10, X12
+	VADDPS       X9, X12, X9
+	ADDQ         $4, SI
+	CMPQ         SI, AX
+	JB           abt32btail
+
+abt32badd:
+	VADDPS X14, X8, X14
+	VADDPS X15, X9, X15
+	MOVQ   sa+32(FP), SI
+	SHLQ   $2, SI
+	ADDQ   SI, R8
+	ADDQ   SI, R9
+	MOVQ   sb+40(FP), SI
+	SHLQ   $2, SI
+	ADDQ   SI, R10
+	ADDQ   SI, R11
+	ADDQ   SI, R12
+	ADDQ   SI, R13
+	DECQ   DX
+	JNZ    abt32bsample
+
+	VMOVUPS X14, (DI)
+	VMOVUPS X15, (DI)(CX*1)
 	VZEROUPPER
 	RET

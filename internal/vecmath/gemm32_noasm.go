@@ -34,6 +34,6 @@ func atb32Kernel1x8(a *float32, lda int, b *float32, ldb int, c *float32, m int)
 	panic("vecmath: assembly kernel without asm support")
 }
 
-func abt32Kernel2x4(a0, a1, b0, b1, b2, b3 *float32, k int, out *[8]float32) {
+func abt32Kernel2x4Batch(a, b *float32, k, batch, sa, sb int, c *float32, ldc, load int) {
 	panic("vecmath: assembly kernel without asm support")
 }

@@ -37,9 +37,12 @@ func atbKernel4x8(a *float64, lda int, b *float64, ldb int, c *float64, ldc, m i
 //go:noescape
 func atbKernel1x8(a *float64, lda int, b *float64, ldb int, c *float64, m int)
 
-// abtKernel2x4 computes the eight dot products of two A rows with four B
-// rows over k elements (k must be a positive multiple of 4), writing
-// {a0·b0, a0·b1, a0·b2, a0·b3, a1·b0, a1·b1, a1·b2, a1·b3} into out.
+// abtKernel2x4Batch adds into the 2×4 tile of C (row stride ldc) the
+// dot products of two consecutive A rows with four consecutive B rows
+// (row stride k, k ≥ 4), summed over batch samples whose A and B blocks
+// lie sa and sb elements apart. The tile stays in registers and takes
+// the samples' partials in sample order. With load == 0 the tile starts
+// from -0 instead of C's contents, which makes it overwrite C.
 //
 //go:noescape
-func abtKernel2x4(a0, a1, b0, b1, b2, b3 *float64, k int, out *[8]float64)
+func abtKernel2x4Batch(a, b *float64, k, batch, sa, sb int, c *float64, ldc, load int)

@@ -239,17 +239,46 @@ atb1x8loop:
 	VZEROUPPER
 	RET
 
-// func abtKernel2x4(a0, a1, b0, b1, b2, b3 *float64, k int, out *[8]float64)
-TEXT ·abtKernel2x4(SB), NOSPLIT, $0-64
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ b0+16(FP), R10
-	MOVQ b1+24(FP), R11
-	MOVQ b2+32(FP), R12
-	MOVQ b3+40(FP), R13
-	MOVQ k+48(FP), CX
-	MOVQ out+56(FP), DI
+// func abtKernel2x4Batch(a, b *float64, k, batch, sa, sb int, c *float64, ldc, load int)
+//
+// For each of batch samples s (A_s = a+s·sa, B_s = b+s·sb elements) it
+// forms the eight dot products of A_s rows 0..1 with B_s rows 0..3 (row
+// stride k) and adds them into the 2×4 tile of C (row stride ldc), which
+// stays in Y14/Y15 across the samples. Per sample the arithmetic is that
+// of one single-sample dot tile: FMA chains over the multiple-of-4
+// prefix of k, each accumulator reduced as (lo+hi) then pairwise, the
+// scalar k tail added product by product, and the result added into C —
+// so C receives the samples' partials one after another in sample order.
+// Requires k ≥ 4 and batch ≥ 1.
+TEXT ·abtKernel2x4Batch(SB), NOSPLIT, $0-72
+	MOVQ a+0(FP), R8
+	MOVQ b+8(FP), R10
+	MOVQ k+16(FP), AX
+	SHLQ $3, AX            // AX = row stride in bytes
+	LEAQ (R8)(AX*1), R9
+	LEAQ (R10)(AX*1), R11
+	LEAQ (R11)(AX*1), R12
+	LEAQ (R12)(AX*1), R13
+	MOVQ AX, BX
+	ANDQ $~31, BX          // BX = bytes of the multiple-of-4 prefix
+	MOVQ batch+24(FP), DX
+	MOVQ c+48(FP), DI
+	MOVQ ldc+56(FP), CX
+	SHLQ $3, CX
+	CMPQ load+64(FP), $0
+	JEQ  abtbnegzero
+	VMOVUPD (DI), Y14
+	VMOVUPD (DI)(CX*1), Y15
+	JMP  abtbsample
 
+abtbnegzero:
+	// Overwrite mode: start the tile from -0 (sign bit only), the exact
+	// additive identity.
+	VPCMPEQQ Y14, Y14, Y14
+	VPSLLQ $63, Y14, Y14
+	VMOVUPD Y14, Y15
+
+abtbsample:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -258,14 +287,15 @@ TEXT ·abtKernel2x4(SB), NOSPLIT, $0-64
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	XORQ   SI, SI
 
-abt2x4loop:
-	VMOVUPD     (R8), Y8
-	VMOVUPD     (R9), Y9
-	VMOVUPD     (R10), Y10
-	VMOVUPD     (R11), Y11
-	VMOVUPD     (R12), Y12
-	VMOVUPD     (R13), Y13
+abtbloop:
+	VMOVUPD     (R8)(SI*1), Y8
+	VMOVUPD     (R9)(SI*1), Y9
+	VMOVUPD     (R10)(SI*1), Y10
+	VMOVUPD     (R11)(SI*1), Y11
+	VMOVUPD     (R12)(SI*1), Y12
+	VMOVUPD     (R13)(SI*1), Y13
 	VFMADD231PD Y10, Y8, Y0
 	VFMADD231PD Y11, Y8, Y1
 	VFMADD231PD Y12, Y8, Y2
@@ -274,47 +304,65 @@ abt2x4loop:
 	VFMADD231PD Y11, Y9, Y5
 	VFMADD231PD Y12, Y9, Y6
 	VFMADD231PD Y13, Y9, Y7
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	ADDQ        $32, R12
-	ADDQ        $32, R13
-	SUBQ        $4, CX
-	JNZ         abt2x4loop
+	ADDQ        $32, SI
+	CMPQ        SI, BX
+	JB          abtbloop
 
-	// Horizontal reduction of each accumulator into out[0..7].
-	VEXTRACTF128 $1, Y0, X8
-	VADDPD       X8, X0, X0
-	VHADDPD      X0, X0, X0
-	VMOVSD       X0, (DI)
-	VEXTRACTF128 $1, Y1, X8
-	VADDPD       X8, X1, X1
-	VHADDPD      X1, X1, X1
-	VMOVSD       X1, 8(DI)
-	VEXTRACTF128 $1, Y2, X8
-	VADDPD       X8, X2, X2
-	VHADDPD      X2, X2, X2
-	VMOVSD       X2, 16(DI)
-	VEXTRACTF128 $1, Y3, X8
-	VADDPD       X8, X3, X3
-	VHADDPD      X3, X3, X3
-	VMOVSD       X3, 24(DI)
-	VEXTRACTF128 $1, Y4, X8
-	VADDPD       X8, X4, X4
-	VHADDPD      X4, X4, X4
-	VMOVSD       X4, 32(DI)
-	VEXTRACTF128 $1, Y5, X8
-	VADDPD       X8, X5, X5
-	VHADDPD      X5, X5, X5
-	VMOVSD       X5, 40(DI)
-	VEXTRACTF128 $1, Y6, X8
-	VADDPD       X8, X6, X6
-	VHADDPD      X6, X6, X6
-	VMOVSD       X6, 48(DI)
-	VEXTRACTF128 $1, Y7, X8
-	VADDPD       X8, X7, X7
-	VHADDPD      X7, X7, X7
-	VMOVSD       X7, 56(DI)
+	// Reduce each accumulator y to (y0+y2)+(y1+y3), four at a time:
+	// pair the low and high halves of two accumulators, add, then one
+	// VHADDPD leaves row r's four sums in order in Y8 (r=0) / Y9 (r=1).
+	VPERM2F128 $0x20, Y2, Y0, Y8
+	VPERM2F128 $0x31, Y2, Y0, Y9
+	VADDPD     Y9, Y8, Y8
+	VPERM2F128 $0x20, Y3, Y1, Y9
+	VPERM2F128 $0x31, Y3, Y1, Y10
+	VADDPD     Y10, Y9, Y9
+	VHADDPD    Y9, Y8, Y8
+	VPERM2F128 $0x20, Y6, Y4, Y9
+	VPERM2F128 $0x31, Y6, Y4, Y10
+	VADDPD     Y10, Y9, Y9
+	VPERM2F128 $0x20, Y7, Y5, Y10
+	VPERM2F128 $0x31, Y7, Y5, Y11
+	VADDPD     Y11, Y10, Y10
+	VHADDPD    Y10, Y9, Y9
+
+	// k tail: out += a·b one element at a time (multiply, then add).
+	CMPQ SI, AX
+	JAE  abtbadd
+
+abtbtail:
+	VMOVSD       (R10)(SI*1), X10
+	VMOVHPD      (R11)(SI*1), X10, X10
+	VMOVSD       (R12)(SI*1), X11
+	VMOVHPD      (R13)(SI*1), X11, X11
+	VINSERTF128  $1, X11, Y10, Y10
+	VBROADCASTSD (R8)(SI*1), Y11
+	VMULPD       Y11, Y10, Y12
+	VADDPD       Y8, Y12, Y8
+	VBROADCASTSD (R9)(SI*1), Y11
+	VMULPD       Y11, Y10, Y12
+	VADDPD       Y9, Y12, Y9
+	ADDQ         $8, SI
+	CMPQ         SI, AX
+	JB           abtbtail
+
+abtbadd:
+	VADDPD Y14, Y8, Y14
+	VADDPD Y15, Y9, Y15
+	MOVQ   sa+32(FP), SI
+	SHLQ   $3, SI
+	ADDQ   SI, R8
+	ADDQ   SI, R9
+	MOVQ   sb+40(FP), SI
+	SHLQ   $3, SI
+	ADDQ   SI, R10
+	ADDQ   SI, R11
+	ADDQ   SI, R12
+	ADDQ   SI, R13
+	DECQ   DX
+	JNZ    abtbsample
+
+	VMOVUPD Y14, (DI)
+	VMOVUPD Y15, (DI)(CX*1)
 	VZEROUPPER
 	RET

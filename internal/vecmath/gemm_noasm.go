@@ -23,6 +23,6 @@ func atbKernel1x8(a *float64, lda int, b *float64, ldb int, c *float64, m int) {
 	panic("vecmath: assembly kernel on non-amd64")
 }
 
-func abtKernel2x4(a0, a1, b0, b1, b2, b3 *float64, k int, out *[8]float64) {
+func abtKernel2x4Batch(a, b *float64, k, batch, sa, sb int, c *float64, ldc, load int) {
 	panic("vecmath: assembly kernel on non-amd64")
 }

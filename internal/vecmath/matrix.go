@@ -1,6 +1,9 @@
 package vecmath
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Row-major matrix kernels used by the neural-network substrate. A matrix
 // with r rows and c columns is stored as a []float64 of length r*c with
@@ -55,6 +58,24 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 	checkDims("Gemm A", len(a), m*k)
 	checkDims("Gemm B", len(b), k*n)
 	checkDims("Gemm C", len(c), m*n)
+	gemm(c, a, b, m, k, n, accumulate)
+}
+
+// GemmBatch computes C_s = A·B_s (or C_s += A·B_s) for batch samples that
+// share the m×k matrix A: b holds the k×n matrices B_s back to back and c
+// the m×n results. It is one strided walk over the samples — what a
+// convolution's forward product needs — and each C_s is exactly what Gemm
+// computes for that sample alone.
+func GemmBatch(c, a, b []float64, batch, m, k, n int, accumulate bool) {
+	checkDims("GemmBatch A", len(a), m*k)
+	checkDims("GemmBatch B", len(b), batch*k*n)
+	checkDims("GemmBatch C", len(c), batch*m*n)
+	for s := 0; s < batch; s++ {
+		gemm(c[s*m*n:(s+1)*m*n], a, b[s*k*n:(s+1)*k*n], m, k, n, accumulate)
+	}
+}
+
+func gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -228,6 +249,23 @@ func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 	checkDims("GemmATB A", len(a), m*k)
 	checkDims("GemmATB B", len(b), m*n)
 	checkDims("GemmATB C", len(c), k*n)
+	gemmATB(c, a, b, m, k, n, accumulate)
+}
+
+// GemmATBBatch computes C_s = Aᵀ·B_s (or C_s += Aᵀ·B_s) for batch samples
+// that share the m×k matrix A: b holds the m×n matrices B_s back to back
+// and c the k×n results. Each C_s is exactly what GemmATB computes for
+// that sample alone.
+func GemmATBBatch(c, a, b []float64, batch, m, k, n int, accumulate bool) {
+	checkDims("GemmATBBatch A", len(a), m*k)
+	checkDims("GemmATBBatch B", len(b), batch*m*n)
+	checkDims("GemmATBBatch C", len(c), batch*k*n)
+	for s := 0; s < batch; s++ {
+		gemmATB(c[s*k*n:(s+1)*k*n], a, b[s*m*n:(s+1)*m*n], m, k, n, accumulate)
+	}
+}
+
+func gemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 	if k == 0 || n == 0 {
 		return
 	}
@@ -424,10 +462,52 @@ func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if useAVX && k >= 4 {
-		gemmABTAVX(c, a, b, m, k, n, accumulate)
+	gemmABTBatch(c, a, b, 1, m, k, n, accumulate)
+}
+
+// GemmABTBatch accumulates C += Σ_s A_s·B_sᵀ over batch samples, where a
+// holds the batch m×k matrices A_s back to back, b the n×k matrices B_s,
+// and C is m×n. The samples are added in order, each C element receiving
+// exactly the arithmetic of batch sequential GemmABT(C, A_s, B_s, m, k,
+// n, true) calls — so a convolution's weight gradient, summed over a
+// mini-batch, is bit-identical to the per-sample loop it replaces. C must
+// not alias A or B.
+func GemmABTBatch(c, a, b []float64, batch, m, k, n int) {
+	checkDims("GemmABTBatch A", len(a), batch*m*k)
+	checkDims("GemmABTBatch B", len(b), batch*n*k)
+	checkDims("GemmABTBatch C", len(c), m*n)
+	if batch == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}
+	gemmABTBatch(c, a, b, batch, m, k, n, true)
+}
+
+// negZero is -0.0, the additive identity bit for bit: -0 + x == x for
+// every x, +0 included, and a computed dot product is never a signaling
+// NaN. Overwriting C with a dot product is therefore accumulating it onto
+// -0, which lets one set of accumulating kernels serve both modes of
+// GemmABT: the SIMD tile and the scalar edges start from -0 instead of
+// C, and the pure-Go tiles run on a C filled with -0.
+var negZero = math.Copysign(0, -1)
+
+// gemmABTBatch is GemmABTBatch without the checks; accumulate == false
+// (overwrite C) is only meaningful for batch 1.
+func gemmABTBatch(c, a, b []float64, batch, m, k, n int, accumulate bool) {
+	if useAVX && k >= 4 {
+		gemmABTBatchAVX(c, a, b, batch, m, k, n, accumulate)
+		return
+	}
+	if !accumulate {
+		Fill(c, negZero)
+	}
+	for s := 0; s < batch; s++ {
+		gemmABTTiles(c, a[s*m*k:(s+1)*m*k], b[s*n*k:(s+1)*n*k], m, k, n)
+	}
+}
+
+// gemmABTTiles is the pure-Go C += A·Bᵀ: 2×4 register tiles of dot
+// products, scalar dots on the row and column edges.
+func gemmABTTiles(c, a, b []float64, m, k, n int) {
 	i := 0
 	for ; i+gemmMR <= m; i += gemmMR {
 		a0 := a[i*k : (i+1)*k]
@@ -453,137 +533,80 @@ func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
 				s12 += a1p * b2p
 				s13 += a1p * b3p
 			}
-			if accumulate {
-				c[i*n+j] += s00
-				c[i*n+j+1] += s01
-				c[i*n+j+2] += s02
-				c[i*n+j+3] += s03
-				c[(i+1)*n+j] += s10
-				c[(i+1)*n+j+1] += s11
-				c[(i+1)*n+j+2] += s12
-				c[(i+1)*n+j+3] += s13
-			} else {
-				c[i*n+j] = s00
-				c[i*n+j+1] = s01
-				c[i*n+j+2] = s02
-				c[i*n+j+3] = s03
-				c[(i+1)*n+j] = s10
-				c[(i+1)*n+j+1] = s11
-				c[(i+1)*n+j+2] = s12
-				c[(i+1)*n+j+3] = s13
-			}
+			c[i*n+j] += s00
+			c[i*n+j+1] += s01
+			c[i*n+j+2] += s02
+			c[i*n+j+3] += s03
+			c[(i+1)*n+j] += s10
+			c[(i+1)*n+j+1] += s11
+			c[(i+1)*n+j+2] += s12
+			c[(i+1)*n+j+3] += s13
 		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s0, s1 float64
-			for p, bp := range brow {
-				s0 += a0[p] * bp
-				s1 += a1[p] * bp
-			}
-			if accumulate {
-				c[i*n+j] += s0
-				c[(i+1)*n+j] += s1
-			} else {
-				c[i*n+j] = s0
-				c[(i+1)*n+j] = s1
-			}
-		}
+		abtEdge(c, a, b, 1, i, i+2, j, m, k, n, true)
 	}
-	if i < m {
-		arow := a[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float64
-			for p, ap := range arow {
-				s += ap * brow[p]
-			}
-			if accumulate {
-				c[i*n+j] += s
-			} else {
-				c[i*n+j] = s
-			}
-		}
-	}
+	abtEdge(c, a, b, 1, i, m, 0, m, k, n, true)
 }
 
-// gemmABTAVX computes 2×4 tiles of dot products with the FMA kernel over
-// the largest multiple-of-4 prefix of the reduction; the k remainder and
-// the row/column edges are finished with scalar dots.
-func gemmABTAVX(c, a, b []float64, m, k, n int, accumulate bool) {
-	k4 := k &^ 3
+// gemmABTBatchAVX runs the batched FMA kernel over the 2×4 tiles, which
+// walks every sample with the tile of C held in registers; the row and
+// column edges are scalar dots, added in sample order as well.
+func gemmABTBatchAVX(c, a, b []float64, batch, m, k, n int, accumulate bool) {
 	mMain := m &^ 1
 	nMain := n &^ 3
-	var out [8]float64
+	load := 0
+	if accumulate {
+		load = 1
+	}
 	for i := 0; i < mMain; i += 2 {
-		a0 := a[i*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a1 = a1[:len(a0)]
 		for j := 0; j < nMain; j += 4 {
-			b0 := b[(j+0)*k : (j+1)*k][:len(a0)]
-			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
-			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
-			b3 := b[(j+3)*k : (j+4)*k][:len(a0)]
-			abtKernel2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4, &out)
-			for p := k4; p < k; p++ {
-				a0p, a1p := a0[p], a1[p]
-				out[0] += a0p * b0[p]
-				out[1] += a0p * b1[p]
-				out[2] += a0p * b2[p]
-				out[3] += a0p * b3[p]
-				out[4] += a1p * b0[p]
-				out[5] += a1p * b1[p]
-				out[6] += a1p * b2[p]
-				out[7] += a1p * b3[p]
-			}
-			if accumulate {
-				c[i*n+j] += out[0]
-				c[i*n+j+1] += out[1]
-				c[i*n+j+2] += out[2]
-				c[i*n+j+3] += out[3]
-				c[(i+1)*n+j] += out[4]
-				c[(i+1)*n+j+1] += out[5]
-				c[(i+1)*n+j+2] += out[6]
-				c[(i+1)*n+j+3] += out[7]
-			} else {
-				c[i*n+j] = out[0]
-				c[i*n+j+1] = out[1]
-				c[i*n+j+2] = out[2]
-				c[i*n+j+3] = out[3]
-				c[(i+1)*n+j] = out[4]
-				c[(i+1)*n+j+1] = out[5]
-				c[(i+1)*n+j+2] = out[6]
-				c[(i+1)*n+j+3] = out[7]
-			}
-		}
-		for j := nMain; j < n; j++ {
-			brow := b[j*k : (j+1)*k][:len(a0)]
-			var s0, s1 float64
-			for p, bp := range brow {
-				s0 += a0[p] * bp
-				s1 += a1[p] * bp
-			}
-			if accumulate {
-				c[i*n+j] += s0
-				c[(i+1)*n+j] += s1
-			} else {
-				c[i*n+j] = s0
-				c[(i+1)*n+j] = s1
-			}
+			abtKernel2x4Batch(&a[i*k], &b[j*k], k, batch, m*k, n*k, &c[i*n+j], n, load)
 		}
 	}
-	if mMain < m {
-		arow := a[mMain*k : (mMain+1)*k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k][:len(arow)]
-			var s float64
-			for p, bp := range brow {
-				s += arow[p] * bp
-			}
+	abtEdge(c, a, b, batch, 0, mMain, nMain, m, k, n, accumulate)
+	abtEdge(c, a, b, batch, mMain, m, 0, m, k, n, accumulate)
+}
+
+// abtEdge adds into C the scalar dot products of the A_s rows [i0, i1)
+// with the B_s rows [j0, n), sample after sample: each dot accumulates
+// a·b from zero, then C += dot. With accumulate false, C starts from -0
+// instead of its contents. Rows go in pairs, two independent chains.
+func abtEdge(c, a, b []float64, batch, i0, i1, j0, m, k, n int, accumulate bool) {
+	for j := j0; j < n; j++ {
+		i := i0
+		for ; i+1 < i1; i += 2 {
+			c0, c1 := negZero, negZero
 			if accumulate {
-				c[mMain*n+j] += s
-			} else {
-				c[mMain*n+j] = s
+				c0, c1 = c[i*n+j], c[(i+1)*n+j]
 			}
+			for s := 0; s < batch; s++ {
+				a0 := a[s*m*k+i*k:][:k]
+				a1 := a[s*m*k+(i+1)*k:][:k]
+				brow := b[s*n*k+j*k:][:k]
+				var s0, s1 float64
+				for p, bp := range brow {
+					s0 += a0[p] * bp
+					s1 += a1[p] * bp
+				}
+				c0 += s0
+				c1 += s1
+			}
+			c[i*n+j], c[(i+1)*n+j] = c0, c1
+		}
+		if i < i1 {
+			c0 := negZero
+			if accumulate {
+				c0 = c[i*n+j]
+			}
+			for s := 0; s < batch; s++ {
+				arow := a[s*m*k+i*k:][:k]
+				brow := b[s*n*k+j*k:][:k]
+				var s0 float64
+				for p, bp := range brow {
+					s0 += arow[p] * bp
+				}
+				c0 += s0
+			}
+			c[i*n+j] = c0
 		}
 	}
 }

@@ -17,6 +17,21 @@ func Gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
 	checkDims("Gemm32 A", len(a), m*k)
 	checkDims("Gemm32 B", len(b), k*n)
 	checkDims("Gemm32 C", len(c), m*n)
+	gemm32(c, a, b, m, k, n, accumulate)
+}
+
+// GemmBatch32 is the float32 GemmBatch: C_s = A·B_s (or +=) for batch
+// samples sharing A, each exactly what Gemm32 computes for it alone.
+func GemmBatch32(c, a, b []float32, batch, m, k, n int, accumulate bool) {
+	checkDims("GemmBatch32 A", len(a), m*k)
+	checkDims("GemmBatch32 B", len(b), batch*k*n)
+	checkDims("GemmBatch32 C", len(c), batch*m*n)
+	for s := 0; s < batch; s++ {
+		gemm32(c[s*m*n:(s+1)*m*n], a, b[s*k*n:(s+1)*k*n], m, k, n, accumulate)
+	}
+}
+
+func gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -176,6 +191,22 @@ func GemmATB32(c, a, b []float32, m, k, n int, accumulate bool) {
 	checkDims("GemmATB32 A", len(a), m*k)
 	checkDims("GemmATB32 B", len(b), m*n)
 	checkDims("GemmATB32 C", len(c), k*n)
+	gemmATB32(c, a, b, m, k, n, accumulate)
+}
+
+// GemmATBBatch32 is the float32 GemmATBBatch: C_s = Aᵀ·B_s (or +=) for
+// batch samples sharing A, each exactly what GemmATB32 computes for it
+// alone.
+func GemmATBBatch32(c, a, b []float32, batch, m, k, n int, accumulate bool) {
+	checkDims("GemmATBBatch32 A", len(a), m*k)
+	checkDims("GemmATBBatch32 B", len(b), batch*m*n)
+	checkDims("GemmATBBatch32 C", len(c), batch*k*n)
+	for s := 0; s < batch; s++ {
+		gemmATB32(c[s*k*n:(s+1)*k*n], a, b[s*m*n:(s+1)*m*n], m, k, n, accumulate)
+	}
+}
+
+func gemmATB32(c, a, b []float32, m, k, n int, accumulate bool) {
 	if k == 0 || n == 0 {
 		return
 	}
@@ -333,10 +364,45 @@ func GemmABT32(c, a, b []float32, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if useAVX && k >= 8 {
-		gemmABT32AVX(c, a, b, m, k, n, accumulate)
+	gemmABT32Batch(c, a, b, 1, m, k, n, accumulate)
+}
+
+// GemmABTBatch32 is the float32 GemmABTBatch: C += Σ_s A_s·B_sᵀ in sample
+// order, bit-identical to batch sequential GemmABT32(accumulate=true)
+// calls.
+func GemmABTBatch32(c, a, b []float32, batch, m, k, n int) {
+	checkDims("GemmABTBatch32 A", len(a), batch*m*k)
+	checkDims("GemmABTBatch32 B", len(b), batch*n*k)
+	checkDims("GemmABTBatch32 C", len(c), m*n)
+	if batch == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}
+	gemmABT32Batch(c, a, b, batch, m, k, n, true)
+}
+
+// negZero32 is the float32 negZero.
+var negZero32 = float32(negZero)
+
+// gemmABT32Batch is GemmABTBatch32 without the checks; accumulate ==
+// false (overwrite C) is only meaningful for batch 1.
+func gemmABT32Batch(c, a, b []float32, batch, m, k, n int, accumulate bool) {
+	if useAVX && k >= 8 {
+		gemmABT32BatchAVX(c, a, b, batch, m, k, n, accumulate)
+		return
+	}
+	if !accumulate {
+		for i := range c {
+			c[i] = negZero32
+		}
+	}
+	for s := 0; s < batch; s++ {
+		gemmABT32Tiles(c, a[s*m*k:(s+1)*m*k], b[s*n*k:(s+1)*n*k], m, k, n)
+	}
+}
+
+// gemmABT32Tiles is the pure-Go C += A·Bᵀ: 2×4 register tiles of dot
+// products, scalar dots on the row and column edges.
+func gemmABT32Tiles(c, a, b []float32, m, k, n int) {
 	i := 0
 	for ; i+gemmMR <= m; i += gemmMR {
 		a0 := a[i*k : (i+1)*k]
@@ -362,137 +428,76 @@ func GemmABT32(c, a, b []float32, m, k, n int, accumulate bool) {
 				s12 += a1p * b2p
 				s13 += a1p * b3p
 			}
-			if accumulate {
-				c[i*n+j] += s00
-				c[i*n+j+1] += s01
-				c[i*n+j+2] += s02
-				c[i*n+j+3] += s03
-				c[(i+1)*n+j] += s10
-				c[(i+1)*n+j+1] += s11
-				c[(i+1)*n+j+2] += s12
-				c[(i+1)*n+j+3] += s13
-			} else {
-				c[i*n+j] = s00
-				c[i*n+j+1] = s01
-				c[i*n+j+2] = s02
-				c[i*n+j+3] = s03
-				c[(i+1)*n+j] = s10
-				c[(i+1)*n+j+1] = s11
-				c[(i+1)*n+j+2] = s12
-				c[(i+1)*n+j+3] = s13
-			}
+			c[i*n+j] += s00
+			c[i*n+j+1] += s01
+			c[i*n+j+2] += s02
+			c[i*n+j+3] += s03
+			c[(i+1)*n+j] += s10
+			c[(i+1)*n+j+1] += s11
+			c[(i+1)*n+j+2] += s12
+			c[(i+1)*n+j+3] += s13
 		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s0, s1 float32
-			for p, bp := range brow {
-				s0 += a0[p] * bp
-				s1 += a1[p] * bp
-			}
-			if accumulate {
-				c[i*n+j] += s0
-				c[(i+1)*n+j] += s1
-			} else {
-				c[i*n+j] = s0
-				c[(i+1)*n+j] = s1
-			}
-		}
+		abt32Edge(c, a, b, 1, i, i+2, j, m, k, n, true)
 	}
-	if i < m {
-		arow := a[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float32
-			for p, ap := range arow {
-				s += ap * brow[p]
-			}
-			if accumulate {
-				c[i*n+j] += s
-			} else {
-				c[i*n+j] = s
-			}
-		}
-	}
+	abt32Edge(c, a, b, 1, i, m, 0, m, k, n, true)
 }
 
-// gemmABT32AVX computes 2×4 tiles of dot products with the FMA kernel
-// over the largest multiple-of-8 prefix of the reduction; the k remainder
-// and the row/column edges are finished with scalar dots.
-func gemmABT32AVX(c, a, b []float32, m, k, n int, accumulate bool) {
-	k8 := k &^ 7
+// gemmABT32BatchAVX runs the batched FMA kernel over the 2×4 tiles; the
+// row and column edges are scalar dots, added in sample order as well.
+func gemmABT32BatchAVX(c, a, b []float32, batch, m, k, n int, accumulate bool) {
 	mMain := m &^ 1
 	nMain := n &^ 3
-	var out [8]float32
+	load := 0
+	if accumulate {
+		load = 1
+	}
 	for i := 0; i < mMain; i += 2 {
-		a0 := a[i*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a1 = a1[:len(a0)]
 		for j := 0; j < nMain; j += 4 {
-			b0 := b[(j+0)*k : (j+1)*k][:len(a0)]
-			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
-			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
-			b3 := b[(j+3)*k : (j+4)*k][:len(a0)]
-			abt32Kernel2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k8, &out)
-			for p := k8; p < k; p++ {
-				a0p, a1p := a0[p], a1[p]
-				out[0] += a0p * b0[p]
-				out[1] += a0p * b1[p]
-				out[2] += a0p * b2[p]
-				out[3] += a0p * b3[p]
-				out[4] += a1p * b0[p]
-				out[5] += a1p * b1[p]
-				out[6] += a1p * b2[p]
-				out[7] += a1p * b3[p]
-			}
-			if accumulate {
-				c[i*n+j] += out[0]
-				c[i*n+j+1] += out[1]
-				c[i*n+j+2] += out[2]
-				c[i*n+j+3] += out[3]
-				c[(i+1)*n+j] += out[4]
-				c[(i+1)*n+j+1] += out[5]
-				c[(i+1)*n+j+2] += out[6]
-				c[(i+1)*n+j+3] += out[7]
-			} else {
-				c[i*n+j] = out[0]
-				c[i*n+j+1] = out[1]
-				c[i*n+j+2] = out[2]
-				c[i*n+j+3] = out[3]
-				c[(i+1)*n+j] = out[4]
-				c[(i+1)*n+j+1] = out[5]
-				c[(i+1)*n+j+2] = out[6]
-				c[(i+1)*n+j+3] = out[7]
-			}
-		}
-		for j := nMain; j < n; j++ {
-			brow := b[j*k : (j+1)*k][:len(a0)]
-			var s0, s1 float32
-			for p, bp := range brow {
-				s0 += a0[p] * bp
-				s1 += a1[p] * bp
-			}
-			if accumulate {
-				c[i*n+j] += s0
-				c[(i+1)*n+j] += s1
-			} else {
-				c[i*n+j] = s0
-				c[(i+1)*n+j] = s1
-			}
+			abt32Kernel2x4Batch(&a[i*k], &b[j*k], k, batch, m*k, n*k, &c[i*n+j], n, load)
 		}
 	}
-	if mMain < m {
-		arow := a[mMain*k : (mMain+1)*k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k][:len(arow)]
-			var s float32
-			for p, bp := range brow {
-				s += arow[p] * bp
-			}
+	abt32Edge(c, a, b, batch, 0, mMain, nMain, m, k, n, accumulate)
+	abt32Edge(c, a, b, batch, mMain, m, 0, m, k, n, accumulate)
+}
+
+// abt32Edge is the float32 abtEdge.
+func abt32Edge(c, a, b []float32, batch, i0, i1, j0, m, k, n int, accumulate bool) {
+	for j := j0; j < n; j++ {
+		i := i0
+		for ; i+1 < i1; i += 2 {
+			c0, c1 := negZero32, negZero32
 			if accumulate {
-				c[mMain*n+j] += s
-			} else {
-				c[mMain*n+j] = s
+				c0, c1 = c[i*n+j], c[(i+1)*n+j]
 			}
+			for s := 0; s < batch; s++ {
+				a0 := a[s*m*k+i*k:][:k]
+				a1 := a[s*m*k+(i+1)*k:][:k]
+				brow := b[s*n*k+j*k:][:k]
+				var s0, s1 float32
+				for p, bp := range brow {
+					s0 += a0[p] * bp
+					s1 += a1[p] * bp
+				}
+				c0 += s0
+				c1 += s1
+			}
+			c[i*n+j], c[(i+1)*n+j] = c0, c1
+		}
+		if i < i1 {
+			c0 := negZero32
+			if accumulate {
+				c0 = c[i*n+j]
+			}
+			for s := 0; s < batch; s++ {
+				arow := a[s*m*k+i*k:][:k]
+				brow := b[s*n*k+j*k:][:k]
+				var s0 float32
+				for p, bp := range brow {
+					s0 += arow[p] * bp
+				}
+				c0 += s0
+			}
+			c[i*n+j] = c0
 		}
 	}
 }
