@@ -298,17 +298,9 @@ func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratchOf[
 	// reuse the packing for the dW product.
 	cols := sc.colBuf(batch * kp * n)
 	im2col(cols, x[:batch*l.in.Size()], batch, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
-	// Each sample's output is outC×N row-major, exactly the GEMM layout.
-	ys := y[:batch*l.out.Size()]
-	gemmBatch(ys, w, cols, batch, l.outC, kp, n, false)
-	for s := 0; s < batch; s++ {
-		for oc, b := range bias {
-			row := ys[(s*l.outC+oc)*n:][:n]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
+	// Each sample's output is outC×N row-major, exactly the GEMM layout;
+	// the bias of output channel oc is added to its row in the same walk.
+	gemmBatch(y[:batch*l.out.Size()], w, cols, bias, batch, l.outC, kp, n)
 }
 
 func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc *scratchOf[F]) {
@@ -337,7 +329,7 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 	}
 	// dcol_s = Wᵀ·dY_s (K×outC · outC×N), then scatter back to dX.
 	dcol := sc.floatBuf(batch * kp * n)
-	gemmATBBatch(dcol, w, dys, batch, l.outC, kp, n, false)
+	gemmATBBatch(dcol, w, dys, batch, l.outC, kp, n)
 	dxs := dx[:batch*l.in.Size()]
 	zeroF(dxs)
 	col2im(dxs, dcol, batch, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)

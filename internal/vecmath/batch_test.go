@@ -34,11 +34,14 @@ func firstBitDiff[F float32 | float64](a, b []F) int {
 
 // batchShapes covers both kernel sets' edges: odd m (the scalar last
 // row), n%4 != 0 (the scalar column edge), k below, at and between the
-// SIMD widths (k%4 != 0 and k%8 != 0 take the scalar k tail), and a
-// conv-sized reduction.
+// SIMD widths (k%4 != 0 and k%8 != 0 take the scalar k tail), and the
+// fmnist conv shapes. As forward shapes (m×k·k×n) they reach every
+// Gemm/Gemm32 tile: 4-row and 1-row, 8-, 16- and 8+16-column, and the
+// scalar column tail.
 var batchShapes = []struct{ m, k, n int }{
 	{1, 1, 1}, {2, 4, 4}, {3, 5, 5}, {2, 8, 4}, {5, 9, 7},
 	{6, 13, 9}, {7, 17, 3}, {4, 3, 8}, {6, 64, 9}, {12, 16, 54},
+	{6, 9, 64}, {12, 54, 16}, {5, 9, 24}, {7, 3, 19},
 }
 
 // TestGemmABTBatchMatchesSequential pins GemmABTBatch and GemmABTBatch32
@@ -79,55 +82,109 @@ func TestGemmABTBatchMatchesSequential(t *testing.T) {
 }
 
 // TestGemmBatchMatchesPerSample pins the strided forward and Aᵀ·B walks to
-// one Gemm/GemmATB call per sample, both dtypes, both modes.
+// one Gemm(false)/GemmATB(false) call per sample, the forward one followed
+// by a scalar row-bias add, both dtypes, with and without a bias.
 func TestGemmBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
 	const batch = 3
 	for _, sh := range batchShapes {
 		m, k, n := sh.m, sh.k, sh.n
-		for _, acc := range []bool{false, true} {
-			a := spreadMat(rng, m*k)
-			b := spreadMat(rng, batch*k*n)
-			c0 := spreadMat(rng, batch*m*n)
-			got := append([]float64(nil), c0...)
-			GemmBatch(got, a, b, batch, m, k, n, acc)
-			want := append([]float64(nil), c0...)
+		a := spreadMat(rng, m*k)
+		b := spreadMat(rng, batch*k*n)
+		a32, b32 := narrow32(a), narrow32(b)
+		for _, bias := range [][]float64{nil, spreadMat(rng, m)} {
+			got := spreadMat(rng, batch*m*n) // overwritten
+			GemmBatch(got, a, b, bias, batch, m, k, n)
+			want := make([]float64, batch*m*n)
 			for s := 0; s < batch; s++ {
-				Gemm(want[s*m*n:(s+1)*m*n], a, b[s*k*n:(s+1)*k*n], m, k, n, acc)
+				Gemm(want[s*m*n:(s+1)*m*n], a, b[s*k*n:(s+1)*k*n], m, k, n, false)
 			}
+			addRowBias(want, bias, n)
 			if i := firstBitDiff(got, want); i >= 0 {
-				t.Fatalf("GemmBatch m=%d k=%d n=%d acc=%v: c[%d] = %v, per sample %v", m, k, n, acc, i, got[i], want[i])
-			}
-			got32, want32 := narrow32(c0), narrow32(c0)
-			a32, b32 := narrow32(a), narrow32(b)
-			GemmBatch32(got32, a32, b32, batch, m, k, n, acc)
-			for s := 0; s < batch; s++ {
-				Gemm32(want32[s*m*n:(s+1)*m*n], a32, b32[s*k*n:(s+1)*k*n], m, k, n, acc)
-			}
-			if i := firstBitDiff(got32, want32); i >= 0 {
-				t.Fatalf("GemmBatch32 m=%d k=%d n=%d acc=%v: c[%d] = %v, per sample %v", m, k, n, acc, i, got32[i], want32[i])
+				t.Fatalf("GemmBatch m=%d k=%d n=%d bias=%v: c[%d] = %v, per sample %v", m, k, n, bias != nil, i, got[i], want[i])
 			}
 
-			// Aᵀ·B: A is m×k and shared, B_s is m×n, C_s is k×n.
-			bt := spreadMat(rng, batch*m*n)
-			ct := spreadMat(rng, batch*k*n)
-			gotT := append([]float64(nil), ct...)
-			GemmATBBatch(gotT, a, bt, batch, m, k, n, acc)
-			wantT := append([]float64(nil), ct...)
+			var bias32 []float32
+			if bias != nil {
+				bias32 = narrow32(bias)
+			}
+			got32 := narrow32(spreadMat(rng, batch*m*n))
+			GemmBatch32(got32, a32, b32, bias32, batch, m, k, n)
+			want32 := make([]float32, batch*m*n)
 			for s := 0; s < batch; s++ {
-				GemmATB(wantT[s*k*n:(s+1)*k*n], a, bt[s*m*n:(s+1)*m*n], m, k, n, acc)
+				Gemm32(want32[s*m*n:(s+1)*m*n], a32, b32[s*k*n:(s+1)*k*n], m, k, n, false)
 			}
-			if i := firstBitDiff(gotT, wantT); i >= 0 {
-				t.Fatalf("GemmATBBatch m=%d k=%d n=%d acc=%v: c[%d] = %v, per sample %v", m, k, n, acc, i, gotT[i], wantT[i])
+			addRowBias(want32, bias32, n)
+			if i := firstBitDiff(got32, want32); i >= 0 {
+				t.Fatalf("GemmBatch32 m=%d k=%d n=%d bias=%v: c[%d] = %v, per sample %v", m, k, n, bias != nil, i, got32[i], want32[i])
 			}
-			bt32 := narrow32(bt)
-			gotT32, wantT32 := narrow32(ct), narrow32(ct)
-			GemmATBBatch32(gotT32, a32, bt32, batch, m, k, n, acc)
-			for s := 0; s < batch; s++ {
-				GemmATB32(wantT32[s*k*n:(s+1)*k*n], a32, bt32[s*m*n:(s+1)*m*n], m, k, n, acc)
-			}
-			if i := firstBitDiff(gotT32, wantT32); i >= 0 {
-				t.Fatalf("GemmATBBatch32 m=%d k=%d n=%d acc=%v: c[%d] = %v, per sample %v", m, k, n, acc, i, gotT32[i], wantT32[i])
+		}
+
+		// Aᵀ·B: A is m×k and shared, B_s is m×n, C_s is k×n.
+		bt := spreadMat(rng, batch*m*n)
+		gotT := spreadMat(rng, batch*k*n)
+		GemmATBBatch(gotT, a, bt, batch, m, k, n)
+		wantT := make([]float64, batch*k*n)
+		for s := 0; s < batch; s++ {
+			GemmATB(wantT[s*k*n:(s+1)*k*n], a, bt[s*m*n:(s+1)*m*n], m, k, n, false)
+		}
+		if i := firstBitDiff(gotT, wantT); i >= 0 {
+			t.Fatalf("GemmATBBatch m=%d k=%d n=%d: c[%d] = %v, per sample %v", m, k, n, i, gotT[i], wantT[i])
+		}
+		bt32 := narrow32(bt)
+		gotT32 := narrow32(spreadMat(rng, batch*k*n))
+		GemmATBBatch32(gotT32, a32, bt32, batch, m, k, n)
+		wantT32 := make([]float32, batch*k*n)
+		for s := 0; s < batch; s++ {
+			GemmATB32(wantT32[s*k*n:(s+1)*k*n], a32, bt32[s*m*n:(s+1)*m*n], m, k, n, false)
+		}
+		if i := firstBitDiff(gotT32, wantT32); i >= 0 {
+			t.Fatalf("GemmATBBatch32 m=%d k=%d n=%d: c[%d] = %v, per sample %v", m, k, n, i, gotT32[i], wantT32[i])
+		}
+	}
+}
+
+// addRowBias adds bias[i] to every element of row i of each n-column
+// sample matrix in c, the scalar pass the fused bias replaces.
+func addRowBias[F float32 | float64](c, bias []F, n int) {
+	if bias == nil {
+		return
+	}
+	for r := 0; r*n < len(c); r++ {
+		row := c[r*n : (r+1)*n]
+		for j := range row {
+			row[j] += bias[r%len(bias)]
+		}
+	}
+}
+
+// TestGemmBatchBiasOrder pins the fused bias to (product + 0) + bias: a
+// product that underflows to -0 meets a -0 bias. Zeroed C plus the
+// product gives +0, so the element must come out +0; adding the bias to
+// the bare product would give -0.
+func TestGemmBatchBiasOrder(t *testing.T) {
+	negZero64 := math.Copysign(0, -1)
+	for _, sh := range []struct{ m, k, n int }{{4, 3, 8}, {1, 3, 8}, {5, 3, 19}, {4, 3, 16}} {
+		m, k, n := sh.m, sh.k, sh.n
+		a, b := make([]float64, m*k), make([]float64, k*n)
+		a32, b32 := make([]float32, m*k), make([]float32, k*n)
+		for i := range a {
+			a[i], a32[i] = -1e-170, -1e-30
+		}
+		for i := range b {
+			b[i], b32[i] = 1e-170, 1e-30
+		}
+		bias, bias32 := make([]float64, m), make([]float32, m)
+		for i := range bias {
+			bias[i], bias32[i] = negZero64, negZero32
+		}
+		c := make([]float64, m*n)
+		GemmBatch(c, a, b, bias, 1, m, k, n)
+		c32 := make([]float32, m*n)
+		GemmBatch32(c32, a32, b32, bias32, 1, m, k, n)
+		for i := range c {
+			if c[i] != 0 || math.Signbit(c[i]) || c32[i] != 0 || math.Signbit(float64(c32[i])) {
+				t.Fatalf("%+v: element %d = %v (f64), %v (f32); want +0", sh, i, c[i], c32[i])
 			}
 		}
 	}
