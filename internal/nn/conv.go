@@ -16,8 +16,7 @@ import (
 // mini-batch at a time (see DESIGN.md §2). im2col packs every sample's
 // input into a K×N patch matrix (K = inC·k·k patch rows, N = outH·outW
 // output positions) in one pass, so the convolution is a dense outC×K×N
-// product per sample, issued as one strided GEMM walk over the batch.
-// Stride and zero padding are resolved once per kernel tap, which keeps
+// product per sample. Stride and zero padding are resolved once per kernel tap, which keeps
 // every inner loop branch-free. For stride-1 "same" convolutions — every
 // conv in the model zoo but the stride-2 transition — a patch row is the
 // input plane shifted by one constant offset, so packing is one
@@ -140,8 +139,8 @@ func im2col[F Float](dst, x []F, batch, inC, inH, inW, k, stride, pad, outH, out
 			lo, hi := shiftedRange(oyLo, oyHi, outW, off, hw)
 			for q := 0; q < planes; q++ {
 				row := dst[(q*k*k+tap)*n:][:n]
-				if oxLo >= oxHi {
-					zeroF(row)
+				if oyLo >= oyHi || oxLo >= oxHi {
+					zeroF(row) // the tap reads only padding
 					continue
 				}
 				plane := x[q*hw:][:hw]
@@ -187,7 +186,9 @@ func im2col[F Float](dst, x []F, batch, inC, inH, inW, k, stride, pad, outH, out
 // shiftedRange clamps the valid rows' cells [oyLo·outW, oyHi·outW) of a
 // shifted patch row to those whose source cell j+off lies inside the
 // plane. The cells it drops are all horizontal-padding cells: a valid
-// (oy, ox) always reads inside the plane.
+// (oy, ox) always reads inside the plane. The caller must have a valid
+// cell (oyLo < oyHi and oxLo < oxHi); the range then holds it, so
+// 0 ≤ lo < hi ≤ n and lo+off ≥ 0.
 func shiftedRange(oyLo, oyHi, outW, off, hw int) (lo, hi int) {
 	lo = max(oyLo*outW, -off)
 	hi = max(min(oyHi*outW, hw-off), lo)
@@ -235,7 +236,7 @@ func col2im[F Float](dx, dcol []F, batch, inC, inH, inW, k, stride, pad, outH, o
 		for kx := 0; kx < k; kx++ {
 			tap := ky*k + kx
 			oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
-			if oxLo >= oxHi {
+			if oyLo >= oyHi || oxLo >= oxHi {
 				continue
 			}
 			off := (ky-pad)*inW + kx - pad
@@ -298,9 +299,20 @@ func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratchOf[
 	// reuse the packing for the dW product.
 	cols := sc.colBuf(batch * kp * n)
 	im2col(cols, x[:batch*l.in.Size()], batch, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
-	// Each sample's output is outC×N row-major, exactly the GEMM layout;
-	// the bias of output channel oc is added to its row in the same walk.
-	gemmBatch(y[:batch*l.out.Size()], w, cols, bias, batch, l.outC, kp, n)
+	// Each sample's output is outC×N row-major, exactly the GEMM layout.
+	ys := y[:batch*l.out.Size()]
+	for s := 0; s < batch; s++ {
+		gemm(ys[s*l.outC*n:][:l.outC*n], w, cols[s*kp*n:][:kp*n], l.outC, kp, n, false)
+	}
+	// Then the bias of output channel oc onto its row, in one pass.
+	for s := 0; s < batch; s++ {
+		for oc, b := range bias {
+			row := ys[(s*l.outC+oc)*n:][:n]
+			for i := range row {
+				row[i] += b
+			}
+		}
+	}
 }
 
 func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc *scratchOf[F]) {
@@ -327,9 +339,11 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 	if dx == nil {
 		return // first layer: no input gradient wanted
 	}
-	// dcol_s = Wᵀ·dY_s (K×outC · outC×N), then scatter back to dX.
+	// dcol_s = Wᵀ·dY_s (K×outC · outC×N), then scatter the batch back to dX.
 	dcol := sc.floatBuf(batch * kp * n)
-	gemmATBBatch(dcol, w, dys, batch, l.outC, kp, n)
+	for s := 0; s < batch; s++ {
+		gemmATB(dcol[s*kp*n:][:kp*n], w, dys[s*l.outC*n:][:l.outC*n], l.outC, kp, n, false)
+	}
 	dxs := dx[:batch*l.in.Size()]
 	zeroF(dxs)
 	col2im(dxs, dcol, batch, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)

@@ -46,27 +46,9 @@ func gemmABT[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	}
 }
 
-// The batched shims serve the convolution, which runs one GEMM walk per
-// mini-batch (see conv2d); each is bit-identical to the per-sample call.
-
-func gemmBatch[F Float](c, a, b, bias []F, batch, m, k, n int) {
-	switch cc := any(c).(type) {
-	case []float64:
-		vecmath.GemmBatch(cc, any(a).([]float64), any(b).([]float64), any(bias).([]float64), batch, m, k, n)
-	case []float32:
-		vecmath.GemmBatch32(cc, any(a).([]float32), any(b).([]float32), any(bias).([]float32), batch, m, k, n)
-	}
-}
-
-func gemmATBBatch[F Float](c, a, b []F, batch, m, k, n int) {
-	switch cc := any(c).(type) {
-	case []float64:
-		vecmath.GemmATBBatch(cc, any(a).([]float64), any(b).([]float64), batch, m, k, n)
-	case []float32:
-		vecmath.GemmATBBatch32(cc, any(a).([]float32), any(b).([]float32), batch, m, k, n)
-	}
-}
-
+// gemmABTBatch serves the convolution's weight gradient, which sums the
+// samples' products in one walk over the mini-batch (see conv2d); it is
+// bit-identical to one accumulating gemmABT call per sample.
 func gemmABTBatch[F Float](c, a, b []F, batch, m, k, n int) {
 	switch cc := any(c).(type) {
 	case []float64:

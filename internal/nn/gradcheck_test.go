@@ -118,6 +118,17 @@ func TestGradConv2DWideKernelPad(t *testing.T) {
 	checkNet(t, net, 2, 24)
 }
 
+func TestGradConv2DOneRow(t *testing.T) {
+	// A one-row input: the top and bottom kernel rows of a same conv read
+	// only padding, while their columns still overlap the input.
+	net := NewBuilder(Shape{C: 2, H: 1, W: 5}).
+		Conv2D(3, 3, 1, 1).ReLU().
+		Conv2D(2, 3, 1, 1).
+		Dense(3).
+		MustBuild()
+	checkNet(t, net, 2, 25)
+}
+
 func TestGradMaxPool(t *testing.T) {
 	net := NewBuilder(Shape{C: 2, H: 4, W: 4}).
 		Conv2D(2, 3, 1, 1).

@@ -54,6 +54,8 @@ var packingCases = []convGeom{
 	{2, 5, 5, 3, 1, 1}, // inC > 1
 	{1, 1, 1, 3, 1, 1}, // single pixel
 	{2, 2, 1, 3, 1, 1}, // one column
+	{1, 1, 5, 3, 1, 1}, // one row: the top and bottom taps read only padding
+	{1, 2, 5, 5, 1, 2}, // two rows, 5×5 kernel: the outer row taps read only padding
 	{1, 5, 5, 3, 1, 0}, // valid conv (p0): outW != inW
 	{2, 6, 6, 3, 2, 1}, // stride 2
 	{8, 8, 8, 3, 2, 1}, // cifar100 stride-2 transition

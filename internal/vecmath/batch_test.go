@@ -34,14 +34,13 @@ func firstBitDiff[F float32 | float64](a, b []F) int {
 
 // batchShapes covers both kernel sets' edges: odd m (the scalar last
 // row), n%4 != 0 (the scalar column edge), k below, at and between the
-// SIMD widths (k%4 != 0 and k%8 != 0 take the scalar k tail), and the
-// fmnist conv shapes. As forward shapes (m×k·k×n) they reach every
-// Gemm/Gemm32 tile: 4-row and 1-row, 8-, 16- and 8+16-column, and the
-// scalar column tail.
+// SIMD widths (k%4 != 0 and k%8 != 0 take the scalar k tail; k = 27
+// runs an odd number of 8-wide float32 steps), and the fmnist conv
+// shapes.
 var batchShapes = []struct{ m, k, n int }{
 	{1, 1, 1}, {2, 4, 4}, {3, 5, 5}, {2, 8, 4}, {5, 9, 7},
 	{6, 13, 9}, {7, 17, 3}, {4, 3, 8}, {6, 64, 9}, {12, 16, 54},
-	{6, 9, 64}, {12, 54, 16}, {5, 9, 24}, {7, 3, 19},
+	{6, 9, 64}, {12, 54, 16}, {5, 9, 24}, {7, 3, 19}, {3, 27, 6},
 }
 
 // TestGemmABTBatchMatchesSequential pins GemmABTBatch and GemmABTBatch32
@@ -76,115 +75,6 @@ func TestGemmABTBatchMatchesSequential(t *testing.T) {
 			}
 			if i := firstBitDiff(got32, want32); i >= 0 {
 				t.Fatalf("f32 m=%d k=%d n=%d batch=%d: c[%d] = %v, sequential %v", m, k, n, batch, i, got32[i], want32[i])
-			}
-		}
-	}
-}
-
-// TestGemmBatchMatchesPerSample pins the strided forward and Aᵀ·B walks to
-// one Gemm(false)/GemmATB(false) call per sample, the forward one followed
-// by a scalar row-bias add, both dtypes, with and without a bias.
-func TestGemmBatchMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 14))
-	const batch = 3
-	for _, sh := range batchShapes {
-		m, k, n := sh.m, sh.k, sh.n
-		a := spreadMat(rng, m*k)
-		b := spreadMat(rng, batch*k*n)
-		a32, b32 := narrow32(a), narrow32(b)
-		for _, bias := range [][]float64{nil, spreadMat(rng, m)} {
-			got := spreadMat(rng, batch*m*n) // overwritten
-			GemmBatch(got, a, b, bias, batch, m, k, n)
-			want := make([]float64, batch*m*n)
-			for s := 0; s < batch; s++ {
-				Gemm(want[s*m*n:(s+1)*m*n], a, b[s*k*n:(s+1)*k*n], m, k, n, false)
-			}
-			addRowBias(want, bias, n)
-			if i := firstBitDiff(got, want); i >= 0 {
-				t.Fatalf("GemmBatch m=%d k=%d n=%d bias=%v: c[%d] = %v, per sample %v", m, k, n, bias != nil, i, got[i], want[i])
-			}
-
-			var bias32 []float32
-			if bias != nil {
-				bias32 = narrow32(bias)
-			}
-			got32 := narrow32(spreadMat(rng, batch*m*n))
-			GemmBatch32(got32, a32, b32, bias32, batch, m, k, n)
-			want32 := make([]float32, batch*m*n)
-			for s := 0; s < batch; s++ {
-				Gemm32(want32[s*m*n:(s+1)*m*n], a32, b32[s*k*n:(s+1)*k*n], m, k, n, false)
-			}
-			addRowBias(want32, bias32, n)
-			if i := firstBitDiff(got32, want32); i >= 0 {
-				t.Fatalf("GemmBatch32 m=%d k=%d n=%d bias=%v: c[%d] = %v, per sample %v", m, k, n, bias != nil, i, got32[i], want32[i])
-			}
-		}
-
-		// Aᵀ·B: A is m×k and shared, B_s is m×n, C_s is k×n.
-		bt := spreadMat(rng, batch*m*n)
-		gotT := spreadMat(rng, batch*k*n)
-		GemmATBBatch(gotT, a, bt, batch, m, k, n)
-		wantT := make([]float64, batch*k*n)
-		for s := 0; s < batch; s++ {
-			GemmATB(wantT[s*k*n:(s+1)*k*n], a, bt[s*m*n:(s+1)*m*n], m, k, n, false)
-		}
-		if i := firstBitDiff(gotT, wantT); i >= 0 {
-			t.Fatalf("GemmATBBatch m=%d k=%d n=%d: c[%d] = %v, per sample %v", m, k, n, i, gotT[i], wantT[i])
-		}
-		bt32 := narrow32(bt)
-		gotT32 := narrow32(spreadMat(rng, batch*k*n))
-		GemmATBBatch32(gotT32, a32, bt32, batch, m, k, n)
-		wantT32 := make([]float32, batch*k*n)
-		for s := 0; s < batch; s++ {
-			GemmATB32(wantT32[s*k*n:(s+1)*k*n], a32, bt32[s*m*n:(s+1)*m*n], m, k, n, false)
-		}
-		if i := firstBitDiff(gotT32, wantT32); i >= 0 {
-			t.Fatalf("GemmATBBatch32 m=%d k=%d n=%d: c[%d] = %v, per sample %v", m, k, n, i, gotT32[i], wantT32[i])
-		}
-	}
-}
-
-// addRowBias adds bias[i] to every element of row i of each n-column
-// sample matrix in c, the scalar pass the fused bias replaces.
-func addRowBias[F float32 | float64](c, bias []F, n int) {
-	if bias == nil {
-		return
-	}
-	for r := 0; r*n < len(c); r++ {
-		row := c[r*n : (r+1)*n]
-		for j := range row {
-			row[j] += bias[r%len(bias)]
-		}
-	}
-}
-
-// TestGemmBatchBiasOrder pins the fused bias to (product + 0) + bias: a
-// product that underflows to -0 meets a -0 bias. Zeroed C plus the
-// product gives +0, so the element must come out +0; adding the bias to
-// the bare product would give -0.
-func TestGemmBatchBiasOrder(t *testing.T) {
-	negZero64 := math.Copysign(0, -1)
-	for _, sh := range []struct{ m, k, n int }{{4, 3, 8}, {1, 3, 8}, {5, 3, 19}, {4, 3, 16}} {
-		m, k, n := sh.m, sh.k, sh.n
-		a, b := make([]float64, m*k), make([]float64, k*n)
-		a32, b32 := make([]float32, m*k), make([]float32, k*n)
-		for i := range a {
-			a[i], a32[i] = -1e-170, -1e-30
-		}
-		for i := range b {
-			b[i], b32[i] = 1e-170, 1e-30
-		}
-		bias, bias32 := make([]float64, m), make([]float32, m)
-		for i := range bias {
-			bias[i], bias32[i] = negZero64, negZero32
-		}
-		c := make([]float64, m*n)
-		GemmBatch(c, a, b, bias, 1, m, k, n)
-		c32 := make([]float32, m*n)
-		GemmBatch32(c32, a32, b32, bias32, 1, m, k, n)
-		for i := range c {
-			if c[i] != 0 || math.Signbit(c[i]) || c32[i] != 0 || math.Signbit(float64(c32[i])) {
-				t.Fatalf("%+v: element %d = %v (f64), %v (f32); want +0", sh, i, c[i], c32[i])
 			}
 		}
 	}
@@ -245,4 +135,137 @@ func TestGemmABTOverwrite(t *testing.T) {
 			t.Fatalf("f32 %+v: SIMD dot of underflowing negative products = %v, want -0", sh, c32[0])
 		}
 	}
+}
+
+// TestGemmABTMatchesModel pins the arithmetic that GemmABT and
+// GemmABTBatch share, in both dtypes, to abtModel, a statement of it
+// written independently of the kernels. Comparing the batched kernel
+// with sequential GemmABT calls alone would not catch a reduction or
+// tail order that changed in both at once.
+func TestGemmABTMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 16))
+	lanes64, lanes32 := 0, 0
+	if useAVX {
+		lanes64, lanes32 = 4, 8
+	}
+	for _, sh := range batchShapes {
+		for _, batch := range []int{1, 2, 7} {
+			m, k, n := sh.m, sh.k, sh.n
+			a := spreadMat(rng, batch*m*k)
+			b := spreadMat(rng, batch*n*k)
+			c0 := spreadMat(rng, m*n)
+			checkABTModel(t, a, b, c0, batch, m, k, n, lanes64, math.FMA, GemmABT, GemmABTBatch)
+			checkABTModel(t, narrow32(a), narrow32(b), narrow32(c0), batch, m, k, n, lanes32, fma32, GemmABT32, GemmABTBatch32)
+		}
+	}
+}
+
+func checkABTModel[F float32 | float64](t *testing.T, a, b, c0 []F, batch, m, k, n, lanes int, fma func(x, y, z F) F,
+	gemmABT func(c, a, b []F, m, k, n int, accumulate bool), gemmABTBatch func(c, a, b []F, batch, m, k, n int)) {
+	t.Helper()
+	want := append([]F(nil), c0...)
+	abtModel(want, a, b, batch, m, k, n, lanes, fma)
+	got := append([]F(nil), c0...)
+	gemmABTBatch(got, a, b, batch, m, k, n)
+	if i := firstBitDiff(got, want); i >= 0 {
+		t.Fatalf("%T batch m=%d k=%d n=%d batch=%d: c[%d] = %v, model %v", F(0), m, k, n, batch, i, got[i], want[i])
+	}
+	if batch != 1 {
+		return
+	}
+	got = append(got[:0], c0...)
+	gemmABT(got, a, b, m, k, n, true)
+	if i := firstBitDiff(got, want); i >= 0 {
+		t.Fatalf("%T accumulate m=%d k=%d n=%d: c[%d] = %v, model %v", F(0), m, k, n, i, got[i], want[i])
+	}
+	// Overwriting C is accumulating onto -0.
+	for i := range want {
+		want[i] = F(math.Copysign(0, -1))
+		got[i] = F(math.NaN())
+	}
+	abtModel(want, a, b, 1, m, k, n, lanes, fma)
+	gemmABT(got, a, b, m, k, n, false)
+	if i := firstBitDiff(got, want); i >= 0 {
+		t.Fatalf("%T overwrite m=%d k=%d n=%d: c[%d] = %v, model %v", F(0), m, k, n, i, got[i], want[i])
+	}
+}
+
+// abtModel computes C += Σ_s A_s·B_sᵀ with the arithmetic of the ABT
+// kernels: each sample's dot products are added into C one sample after
+// another. A dot on a SIMD tile (rows below m&^1 and columns below n&^3,
+// with lanes > 0 and k ≥ lanes) is laneDot; every other dot is one
+// product-by-product chain from +0, each product rounded before the add.
+func abtModel[F float32 | float64](c, a, b []F, batch, m, k, n, lanes int, fma func(x, y, z F) F) {
+	simd := lanes > 0 && k >= lanes
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			tile := simd && i < m&^1 && j < n&^3
+			for s := 0; s < batch; s++ {
+				arow := a[s*m*k+i*k:][:k]
+				brow := b[s*n*k+j*k:][:k]
+				var d F
+				if tile {
+					d = laneDot(arow, brow, lanes, fma)
+				} else {
+					for p := range arow {
+						d += F(arow[p] * brow[p])
+					}
+				}
+				c[i*n+j] += d
+			}
+		}
+	}
+}
+
+// laneDot is one dot product of a SIMD tile: lanes FMA chains from +0
+// over the multiple-of-lanes prefix of x, reduced by adding the high
+// half of the lanes onto the low half and then adjacent pairs, followed
+// by the k tail, product by product (multiply, then add).
+func laneDot[F float32 | float64](x, y []F, lanes int, fma func(x, y, z F) F) F {
+	acc := make([]F, lanes)
+	kw := len(x) - len(x)%lanes
+	for p := 0; p < kw; p += lanes {
+		for l := range acc {
+			acc[l] = fma(x[p+l], y[p+l], acc[l])
+		}
+	}
+	h := lanes / 2
+	for l := 0; l < h; l++ {
+		acc[l] += acc[l+h]
+	}
+	for w := h; w > 1; w /= 2 {
+		for l := 0; l < w/2; l++ {
+			acc[l] = acc[2*l] + acc[2*l+1]
+		}
+	}
+	d := acc[0]
+	for p := kw; p < len(x); p++ {
+		d = F(x[p]*y[p]) + d
+	}
+	return d
+}
+
+// fma32 is the float32 fused multiply-add x·y+z, rounded once. The
+// product of two float32 values is exact in float64. The sum is rounded
+// to float64 by round-to-odd: round to nearest, and if that was inexact
+// and landed on an even significand, step to the odd neighbour on the
+// side of the exact value. With 29 spare bits, rounding that result to
+// float32 is correctly rounded; plain round-to-nearest twice is not.
+func fma32(x, y, z float32) float32 {
+	p, q := float64(x)*float64(y), float64(z)
+	s := p + q
+	if math.IsInf(s, 0) || math.IsNaN(s) {
+		return float32(s)
+	}
+	bq := s - p // TwoSum: e is the exact error (p+q) - s
+	e := (p - (s - bq)) + (q - bq)
+	if bits := math.Float64bits(s); e != 0 && bits&1 == 0 {
+		if (e > 0) == (s > 0) {
+			bits++
+		} else {
+			bits--
+		}
+		s = math.Float64frombits(bits)
+	}
+	return float32(s)
 }

@@ -12,27 +12,26 @@ package vecmath
 // pointers advance one element per step, b advances by ldb elements
 // (one B row), and after k steps the tile is added into C (row stride
 // ldc). All pointers must have k (a), 16+ (b, c) elements available.
-// A non-nil bias selects gemmKernel4x8's bias mode.
 //
 //go:noescape
-func gemm32Kernel4x16(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int, bias *float32)
+func gemm32Kernel4x16(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int)
 
 // gemm32Kernel1x16 is the single-row variant of gemm32Kernel4x16 for m%4
 // rows.
 //
 //go:noescape
-func gemm32Kernel1x16(a, b *float32, ldb int, c *float32, k int, bias *float32)
+func gemm32Kernel1x16(a, b *float32, ldb int, c *float32, k int)
 
 // gemm32Kernel4x8 is the one-vector (8-column) variant of
 // gemm32Kernel4x16 for the 8..15-column remainder.
 //
 //go:noescape
-func gemm32Kernel4x8(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int, bias *float32)
+func gemm32Kernel4x8(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int)
 
 // gemm32Kernel1x8 is the single-row, one-vector variant.
 //
 //go:noescape
-func gemm32Kernel1x8(a, b *float32, ldb int, c *float32, k int, bias *float32)
+func gemm32Kernel1x8(a, b *float32, ldb int, c *float32, k int)
 
 // atb32Kernel4x16 accumulates a 4×16 tile of C += Aᵀ·B: a points at the
 // four consecutive elements A[i][p..p+3] and advances by lda per step

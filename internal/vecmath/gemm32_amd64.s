@@ -9,8 +9,8 @@
 // throughout — leaf functions, accumulator tiles live in YMM registers,
 // C is touched exactly once.
 
-// func gemm32Kernel4x16(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int, bias *float32)
-TEXT ·gemm32Kernel4x16(SB), NOSPLIT, $0-80
+// func gemm32Kernel4x16(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int)
+TEXT ·gemm32Kernel4x16(SB), NOSPLIT, $0-72
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
 	MOVQ a2+16(FP), R10
@@ -55,10 +55,6 @@ gemm32_4x16loop:
 	DECQ         CX
 	JNZ          gemm32_4x16loop
 
-	MOVQ  bias+72(FP), AX
-	TESTQ AX, AX
-	JNZ   gemm324x16bias
-
 	VADDPS  (DI), Y0, Y0
 	VMOVUPS Y0, (DI)
 	VADDPS  32(DI), Y1, Y1
@@ -81,47 +77,8 @@ gemm32_4x16loop:
 	VZEROUPPER
 	RET
 
-gemm324x16bias:
-	// Bias mode: C = (acc + 0) + bias[row], the arithmetic of adding
-	// the tile into a zeroed C and the row bias after it, without
-	// reading C.
-	VXORPS Y8, Y8, Y8
-	VBROADCASTSS 0(AX), Y9
-	VADDPS  Y8, Y0, Y0
-	VADDPS  Y9, Y0, Y0
-	VMOVUPS Y0, (DI)
-	VADDPS  Y8, Y1, Y1
-	VADDPS  Y9, Y1, Y1
-	VMOVUPS Y1, 32(DI)
-	ADDQ    R13, DI
-	VBROADCASTSS 4(AX), Y9
-	VADDPS  Y8, Y2, Y2
-	VADDPS  Y9, Y2, Y2
-	VMOVUPS Y2, (DI)
-	VADDPS  Y8, Y3, Y3
-	VADDPS  Y9, Y3, Y3
-	VMOVUPS Y3, 32(DI)
-	ADDQ    R13, DI
-	VBROADCASTSS 8(AX), Y9
-	VADDPS  Y8, Y4, Y4
-	VADDPS  Y9, Y4, Y4
-	VMOVUPS Y4, (DI)
-	VADDPS  Y8, Y5, Y5
-	VADDPS  Y9, Y5, Y5
-	VMOVUPS Y5, 32(DI)
-	ADDQ    R13, DI
-	VBROADCASTSS 12(AX), Y9
-	VADDPS  Y8, Y6, Y6
-	VADDPS  Y9, Y6, Y6
-	VMOVUPS Y6, (DI)
-	VADDPS  Y8, Y7, Y7
-	VADDPS  Y9, Y7, Y7
-	VMOVUPS Y7, 32(DI)
-	VZEROUPPER
-	RET
-
-// func gemm32Kernel1x16(a, b *float32, ldb int, c *float32, k int, bias *float32)
-TEXT ·gemm32Kernel1x16(SB), NOSPLIT, $0-48
+// func gemm32Kernel1x16(a, b *float32, ldb int, c *float32, k int)
+TEXT ·gemm32Kernel1x16(SB), NOSPLIT, $0-40
 	MOVQ a+0(FP), R8
 	MOVQ b+8(FP), SI
 	MOVQ ldb+16(FP), R12
@@ -143,10 +100,6 @@ gemm32_1x16loop:
 	DECQ         CX
 	JNZ          gemm32_1x16loop
 
-	MOVQ  bias+40(FP), AX
-	TESTQ AX, AX
-	JNZ   gemm321x16bias
-
 	VADDPS  (DI), Y0, Y0
 	VMOVUPS Y0, (DI)
 	VADDPS  32(DI), Y1, Y1
@@ -154,23 +107,8 @@ gemm32_1x16loop:
 	VZEROUPPER
 	RET
 
-gemm321x16bias:
-	// Bias mode: C = (acc + 0) + bias[row], the arithmetic of adding
-	// the tile into a zeroed C and the row bias after it, without
-	// reading C.
-	VXORPS Y8, Y8, Y8
-	VBROADCASTSS 0(AX), Y9
-	VADDPS  Y8, Y0, Y0
-	VADDPS  Y9, Y0, Y0
-	VMOVUPS Y0, (DI)
-	VADDPS  Y8, Y1, Y1
-	VADDPS  Y9, Y1, Y1
-	VMOVUPS Y1, 32(DI)
-	VZEROUPPER
-	RET
-
-// func gemm32Kernel4x8(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int, bias *float32)
-TEXT ·gemm32Kernel4x8(SB), NOSPLIT, $0-80
+// func gemm32Kernel4x8(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int)
+TEXT ·gemm32Kernel4x8(SB), NOSPLIT, $0-72
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
 	MOVQ a2+16(FP), R10
@@ -206,10 +144,6 @@ gemm32_4x8loop:
 	DECQ         CX
 	JNZ          gemm32_4x8loop
 
-	MOVQ  bias+72(FP), AX
-	TESTQ AX, AX
-	JNZ   gemm324x8bias
-
 	VADDPS  (DI), Y0, Y0
 	VMOVUPS Y0, (DI)
 	ADDQ    R13, DI
@@ -224,35 +158,8 @@ gemm32_4x8loop:
 	VZEROUPPER
 	RET
 
-gemm324x8bias:
-	// Bias mode: C = (acc + 0) + bias[row], the arithmetic of adding
-	// the tile into a zeroed C and the row bias after it, without
-	// reading C.
-	VXORPS Y8, Y8, Y8
-	VBROADCASTSS 0(AX), Y9
-	VADDPS  Y8, Y0, Y0
-	VADDPS  Y9, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    R13, DI
-	VBROADCASTSS 4(AX), Y9
-	VADDPS  Y8, Y1, Y1
-	VADDPS  Y9, Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    R13, DI
-	VBROADCASTSS 8(AX), Y9
-	VADDPS  Y8, Y2, Y2
-	VADDPS  Y9, Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ    R13, DI
-	VBROADCASTSS 12(AX), Y9
-	VADDPS  Y8, Y3, Y3
-	VADDPS  Y9, Y3, Y3
-	VMOVUPS Y3, (DI)
-	VZEROUPPER
-	RET
-
-// func gemm32Kernel1x8(a, b *float32, ldb int, c *float32, k int, bias *float32)
-TEXT ·gemm32Kernel1x8(SB), NOSPLIT, $0-48
+// func gemm32Kernel1x8(a, b *float32, ldb int, c *float32, k int)
+TEXT ·gemm32Kernel1x8(SB), NOSPLIT, $0-40
 	MOVQ a+0(FP), R8
 	MOVQ b+8(FP), SI
 	MOVQ ldb+16(FP), R12
@@ -271,23 +178,7 @@ gemm32_1x8loop:
 	DECQ         CX
 	JNZ          gemm32_1x8loop
 
-	MOVQ  bias+40(FP), AX
-	TESTQ AX, AX
-	JNZ   gemm321x8bias
-
 	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	VZEROUPPER
-	RET
-
-gemm321x8bias:
-	// Bias mode: C = (acc + 0) + bias[row], the arithmetic of adding
-	// the tile into a zeroed C and the row bias after it, without
-	// reading C.
-	VXORPS Y8, Y8, Y8
-	VBROADCASTSS 0(AX), Y9
-	VADDPS  Y8, Y0, Y0
-	VADDPS  Y9, Y0, Y0
 	VMOVUPS Y0, (DI)
 	VZEROUPPER
 	RET
@@ -467,8 +358,8 @@ atb32_1x8loop:
 // The float32 twin of abtKernel2x4Batch: per sample, FMA chains over the
 // multiple-of-8 prefix of k, each 8-lane accumulator reduced as (lo+hi)
 // then two pairwise VHADDPS steps, the scalar k tail added product by
-// product, and the 2×4 result added into C (X14/X15) in sample order;
-// load == 0 starts the tile from -0. Requires k ≥ 8 and batch ≥ 1.
+// product, and the 2×4 result added into C (X14/X15) in sample order.
+// Requires k ≥ 8 and batch ≥ 1.
 TEXT ·abt32Kernel2x4Batch(SB), NOSPLIT, $0-72
 	MOVQ a+0(FP), R8
 	MOVQ b+8(FP), R10

@@ -2,19 +2,19 @@
 
 package vecmath
 
-func gemm32Kernel4x16(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int, bias *float32) {
+func gemm32Kernel4x16(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int) {
 	panic("vecmath: assembly kernel without asm support")
 }
 
-func gemm32Kernel1x16(a, b *float32, ldb int, c *float32, k int, bias *float32) {
+func gemm32Kernel1x16(a, b *float32, ldb int, c *float32, k int) {
 	panic("vecmath: assembly kernel without asm support")
 }
 
-func gemm32Kernel4x8(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int, bias *float32) {
+func gemm32Kernel4x8(a0, a1, a2, a3, b *float32, ldb int, c *float32, ldc, k int) {
 	panic("vecmath: assembly kernel without asm support")
 }
 
-func gemm32Kernel1x8(a, b *float32, ldb int, c *float32, k int, bias *float32) {
+func gemm32Kernel1x8(a, b *float32, ldb int, c *float32, k int) {
 	panic("vecmath: assembly kernel without asm support")
 }
 

@@ -16,17 +16,14 @@ func cpuSupportsAVX2FMA() bool
 // pointers advance one element per step, b advances by ldb elements
 // (one B row), and after k steps the tile is added into C (row stride
 // ldc). All pointers must have k (a), 8+ (b, c) elements available.
-// With a non-nil bias (four elements, one per row) the tile instead
-// overwrites C with (tile + 0) + bias[row]: exactly a zeroed C, the
-// kernel's add, and a row-bias add after it, without reading C.
 //
 //go:noescape
-func gemmKernel4x8(a0, a1, a2, a3, b *float64, ldb int, c *float64, ldc, k int, bias *float64)
+func gemmKernel4x8(a0, a1, a2, a3, b *float64, ldb int, c *float64, ldc, k int)
 
 // gemmKernel1x8 is the single-row variant of gemmKernel4x8 for m%4 rows.
 //
 //go:noescape
-func gemmKernel1x8(a, b *float64, ldb int, c *float64, k int, bias *float64)
+func gemmKernel1x8(a, b *float64, ldb int, c *float64, k int)
 
 // atbKernel4x8 accumulates a 4×8 tile of C += Aᵀ·B: a points at the four
 // consecutive elements A[i][p..p+3] and advances by lda per step (one A

@@ -45,8 +45,8 @@ unsupported:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemmKernel4x8(a0, a1, a2, a3, b *float64, ldb int, c *float64, ldc, k int, bias *float64)
-TEXT ·gemmKernel4x8(SB), NOSPLIT, $0-80
+// func gemmKernel4x8(a0, a1, a2, a3, b *float64, ldb int, c *float64, ldc, k int)
+TEXT ·gemmKernel4x8(SB), NOSPLIT, $0-72
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
 	MOVQ a2+16(FP), R10
@@ -91,10 +91,6 @@ gemm4x8loop:
 	DECQ         CX
 	JNZ          gemm4x8loop
 
-	MOVQ  bias+72(FP), AX
-	TESTQ AX, AX
-	JNZ   gemm4x8bias
-
 	VADDPD  (DI), Y0, Y0
 	VMOVUPD Y0, (DI)
 	VADDPD  32(DI), Y1, Y1
@@ -117,47 +113,8 @@ gemm4x8loop:
 	VZEROUPPER
 	RET
 
-gemm4x8bias:
-	// Bias mode: C = (acc + 0) + bias[row], the arithmetic of adding
-	// the tile into a zeroed C and the row bias after it, without
-	// reading C.
-	VXORPD Y8, Y8, Y8
-	VBROADCASTSD 0(AX), Y9
-	VADDPD  Y8, Y0, Y0
-	VADDPD  Y9, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VADDPD  Y8, Y1, Y1
-	VADDPD  Y9, Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R13, DI
-	VBROADCASTSD 8(AX), Y9
-	VADDPD  Y8, Y2, Y2
-	VADDPD  Y9, Y2, Y2
-	VMOVUPD Y2, (DI)
-	VADDPD  Y8, Y3, Y3
-	VADDPD  Y9, Y3, Y3
-	VMOVUPD Y3, 32(DI)
-	ADDQ    R13, DI
-	VBROADCASTSD 16(AX), Y9
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y4, Y4
-	VMOVUPD Y4, (DI)
-	VADDPD  Y8, Y5, Y5
-	VADDPD  Y9, Y5, Y5
-	VMOVUPD Y5, 32(DI)
-	ADDQ    R13, DI
-	VBROADCASTSD 24(AX), Y9
-	VADDPD  Y8, Y6, Y6
-	VADDPD  Y9, Y6, Y6
-	VMOVUPD Y6, (DI)
-	VADDPD  Y8, Y7, Y7
-	VADDPD  Y9, Y7, Y7
-	VMOVUPD Y7, 32(DI)
-	VZEROUPPER
-	RET
-
-// func gemmKernel1x8(a, b *float64, ldb int, c *float64, k int, bias *float64)
-TEXT ·gemmKernel1x8(SB), NOSPLIT, $0-48
+// func gemmKernel1x8(a, b *float64, ldb int, c *float64, k int)
+TEXT ·gemmKernel1x8(SB), NOSPLIT, $0-40
 	MOVQ a+0(FP), R8
 	MOVQ b+8(FP), SI
 	MOVQ ldb+16(FP), R12
@@ -179,28 +136,9 @@ gemm1x8loop:
 	DECQ         CX
 	JNZ          gemm1x8loop
 
-	MOVQ  bias+40(FP), AX
-	TESTQ AX, AX
-	JNZ   gemm1x8bias
-
 	VADDPD  (DI), Y0, Y0
 	VMOVUPD Y0, (DI)
 	VADDPD  32(DI), Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	VZEROUPPER
-	RET
-
-gemm1x8bias:
-	// Bias mode: C = (acc + 0) + bias[row], the arithmetic of adding
-	// the tile into a zeroed C and the row bias after it, without
-	// reading C.
-	VXORPD Y8, Y8, Y8
-	VBROADCASTSD 0(AX), Y9
-	VADDPD  Y8, Y0, Y0
-	VADDPD  Y9, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VADDPD  Y8, Y1, Y1
-	VADDPD  Y9, Y1, Y1
 	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
 	RET
@@ -311,8 +249,7 @@ atb1x8loop:
 // prefix of k, each accumulator reduced as (lo+hi) then pairwise, the
 // scalar k tail added product by product, and the result added into C —
 // so C receives the samples' partials one after another in sample order.
-// With load == 0 the tile starts from -0 instead of C, which overwrites
-// C bit for bit (-0 + x == x). Requires k ≥ 4 and batch ≥ 1.
+// Requires k ≥ 4 and batch ≥ 1.
 TEXT ·abtKernel2x4Batch(SB), NOSPLIT, $0-72
 	MOVQ a+0(FP), R8
 	MOVQ b+8(FP), R10

@@ -7,11 +7,11 @@ package vecmath
 // never reached.
 const useAVX = false
 
-func gemmKernel4x8(a0, a1, a2, a3, b *float64, ldb int, c *float64, ldc, k int, bias *float64) {
+func gemmKernel4x8(a0, a1, a2, a3, b *float64, ldb int, c *float64, ldc, k int) {
 	panic("vecmath: assembly kernel on non-amd64")
 }
 
-func gemmKernel1x8(a, b *float64, ldb int, c *float64, k int, bias *float64) {
+func gemmKernel1x8(a, b *float64, ldb int, c *float64, k int) {
 	panic("vecmath: assembly kernel on non-amd64")
 }
 

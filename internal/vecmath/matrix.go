@@ -58,41 +58,6 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 	checkDims("Gemm A", len(a), m*k)
 	checkDims("Gemm B", len(b), k*n)
 	checkDims("Gemm C", len(c), m*n)
-	gemm(c, a, b, m, k, n, accumulate)
-}
-
-// GemmBatch computes C_s = A·B_s + bias for batch samples that share the
-// m×k matrix A: b holds the k×n matrices B_s back to back, c the m×n
-// results, and bias (m elements, or nil for none) is added to every
-// element of row i. It is one strided walk over the samples — what a
-// convolution's forward product needs — and each C_s is bit for bit
-// Gemm(C_s, A, B_s, m, k, n, false) followed by C_s[i][j] += bias[i]. On
-// the SIMD path the bias add happens in the kernel's registers, so C is
-// written once.
-func GemmBatch(c, a, b, bias []float64, batch, m, k, n int) {
-	checkDims("GemmBatch A", len(a), m*k)
-	checkDims("GemmBatch B", len(b), batch*k*n)
-	checkDims("GemmBatch C", len(c), batch*m*n)
-	if bias != nil {
-		checkDims("GemmBatch bias", len(bias), m)
-	}
-	for s := 0; s < batch; s++ {
-		cs, bs := c[s*m*n:(s+1)*m*n], b[s*k*n:(s+1)*k*n]
-		if useAVX && n >= 8 && m > 0 && k > 0 {
-			gemmAVX(cs, a, bs, m, k, n, false, bias)
-			continue
-		}
-		gemm(cs, a, bs, m, k, n, false)
-		for i, bi := range bias {
-			row := cs[i*n : (i+1)*n]
-			for j := range row {
-				row[j] += bi
-			}
-		}
-	}
-}
-
-func gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -103,7 +68,7 @@ func gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 		return
 	}
 	if useAVX && n >= 8 {
-		gemmAVX(c, a, b, m, k, n, accumulate, nil)
+		gemmAVX(c, a, b, m, k, n, accumulate)
 		return
 	}
 	gemmGeneric(c, a, b, m, k, n, accumulate)
@@ -112,30 +77,21 @@ func gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 // gemmAVX tiles C into 4×8 (and 1×8) blocks handled by the FMA
 // microkernels; the sub-tile column remainder falls back to scalar dots.
 // The kernels accumulate unconditionally, so C is cleared first unless
-// the caller asked for accumulation. A non-nil bias (not combined with
-// accumulation) puts the kernels in bias mode instead, which writes
-// (tile + 0) + bias[i] without reading C.
-func gemmAVX(c, a, b []float64, m, k, n int, accumulate bool, bias []float64) {
-	if !accumulate && bias == nil {
+// the caller asked for accumulation.
+func gemmAVX(c, a, b []float64, m, k, n int, accumulate bool) {
+	if !accumulate {
 		Zero(c)
 	}
-	var bp *float64
 	mMain := m &^ 3
 	nMain := n &^ 7
 	for i := 0; i < mMain; i += 4 {
-		if bias != nil {
-			bp = &bias[i]
-		}
 		for j := 0; j < nMain; j += 8 {
-			gemmKernel4x8(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k, bp)
+			gemmKernel4x8(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k)
 		}
 	}
 	for i := mMain; i < m; i++ {
-		if bias != nil {
-			bp = &bias[i]
-		}
 		for j := 0; j < nMain; j += 8 {
-			gemmKernel1x8(&a[i*k], &b[j], n, &c[i*n+j], k, bp)
+			gemmKernel1x8(&a[i*k], &b[j], n, &c[i*n+j], k)
 		}
 	}
 	if nMain == n {
@@ -150,12 +106,6 @@ func gemmAVX(c, a, b []float64, m, k, n int, accumulate bool, bias []float64) {
 			for _, ap := range arow {
 				s += ap * b[idx]
 				idx += n
-			}
-			if bias != nil {
-				// s accumulates from +0 and a sum is -0 only when both
-				// addends are, so s is never -0: s is 0 + s bit for bit.
-				crow[j] = s + bias[i]
-				continue
 			}
 			crow[j] += s
 		}
@@ -281,23 +231,6 @@ func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 	checkDims("GemmATB A", len(a), m*k)
 	checkDims("GemmATB B", len(b), m*n)
 	checkDims("GemmATB C", len(c), k*n)
-	gemmATB(c, a, b, m, k, n, accumulate)
-}
-
-// GemmATBBatch computes C_s = Aᵀ·B_s for batch samples that share the
-// m×k matrix A: b holds the m×n matrices B_s back to back and c the k×n
-// results. Each C_s is exactly what GemmATB(C_s, A, B_s, m, k, n, false)
-// computes for that sample alone.
-func GemmATBBatch(c, a, b []float64, batch, m, k, n int) {
-	checkDims("GemmATBBatch A", len(a), m*k)
-	checkDims("GemmATBBatch B", len(b), batch*m*n)
-	checkDims("GemmATBBatch C", len(c), batch*k*n)
-	for s := 0; s < batch; s++ {
-		gemmATB(c[s*k*n:(s+1)*k*n], a, b[s*m*n:(s+1)*m*n], m, k, n, false)
-	}
-}
-
-func gemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 	if k == 0 || n == 0 {
 		return
 	}

@@ -17,36 +17,6 @@ func Gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
 	checkDims("Gemm32 A", len(a), m*k)
 	checkDims("Gemm32 B", len(b), k*n)
 	checkDims("Gemm32 C", len(c), m*n)
-	gemm32(c, a, b, m, k, n, accumulate)
-}
-
-// GemmBatch32 is the float32 GemmBatch: C_s = A·B_s + bias for batch
-// samples sharing A, each bit for bit Gemm32(C_s, A, B_s, m, k, n, false)
-// followed by the row-bias add.
-func GemmBatch32(c, a, b, bias []float32, batch, m, k, n int) {
-	checkDims("GemmBatch32 A", len(a), m*k)
-	checkDims("GemmBatch32 B", len(b), batch*k*n)
-	checkDims("GemmBatch32 C", len(c), batch*m*n)
-	if bias != nil {
-		checkDims("GemmBatch32 bias", len(bias), m)
-	}
-	for s := 0; s < batch; s++ {
-		cs, bs := c[s*m*n:(s+1)*m*n], b[s*k*n:(s+1)*k*n]
-		if useAVX && n >= 8 && m > 0 && k > 0 {
-			gemm32AVX(cs, a, bs, m, k, n, false, bias)
-			continue
-		}
-		gemm32(cs, a, bs, m, k, n, false)
-		for i, bi := range bias {
-			row := cs[i*n : (i+1)*n]
-			for j := range row {
-				row[j] += bi
-			}
-		}
-	}
-}
-
-func gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -57,7 +27,7 @@ func gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
 		return
 	}
 	if useAVX && n >= 8 {
-		gemm32AVX(c, a, b, m, k, n, accumulate, nil)
+		gemm32AVX(c, a, b, m, k, n, accumulate)
 		return
 	}
 	gemm32Generic(c, a, b, m, k, n, accumulate)
@@ -68,34 +38,27 @@ func gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
 // the final sub-8 columns fall back to scalar dots. The kernels
 // accumulate unconditionally, so C is cleared first unless the caller
 // asked for accumulation.
-func gemm32AVX(c, a, b []float32, m, k, n int, accumulate bool, bias []float32) {
-	if !accumulate && bias == nil {
+func gemm32AVX(c, a, b []float32, m, k, n int, accumulate bool) {
+	if !accumulate {
 		Zero32(c)
 	}
-	var bp *float32
 	mMain := m &^ 3
 	n16 := n &^ 15
 	n8 := n &^ 7
 	for i := 0; i < mMain; i += 4 {
-		if bias != nil {
-			bp = &bias[i]
-		}
 		for j := 0; j < n16; j += 16 {
-			gemm32Kernel4x16(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k, bp)
+			gemm32Kernel4x16(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k)
 		}
 		if n8 > n16 {
-			gemm32Kernel4x8(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[n16], n, &c[i*n+n16], n, k, bp)
+			gemm32Kernel4x8(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[n16], n, &c[i*n+n16], n, k)
 		}
 	}
 	for i := mMain; i < m; i++ {
-		if bias != nil {
-			bp = &bias[i]
-		}
 		for j := 0; j < n16; j += 16 {
-			gemm32Kernel1x16(&a[i*k], &b[j], n, &c[i*n+j], k, bp)
+			gemm32Kernel1x16(&a[i*k], &b[j], n, &c[i*n+j], k)
 		}
 		if n8 > n16 {
-			gemm32Kernel1x8(&a[i*k], &b[n16], n, &c[i*n+n16], k, bp)
+			gemm32Kernel1x8(&a[i*k], &b[n16], n, &c[i*n+n16], k)
 		}
 	}
 	if n8 == n {
@@ -111,15 +74,13 @@ func gemm32AVX(c, a, b []float32, m, k, n int, accumulate bool, bias []float32) 
 				s += ap * b[idx]
 				idx += n
 			}
-			if bias != nil {
-				crow[j] = s + bias[i] // s is never -0; see gemmAVX
-				continue
-			}
 			crow[j] += s
 		}
 	}
 }
 
+// gemm32Generic mirrors gemmGeneric: 2×4 register tiles with the
+// reduction dimension blocked by gemmKC.
 func gemm32Generic(c, a, b []float32, m, k, n int, accumulate bool) {
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		pEnd := min(p0+gemmKC, k)
@@ -215,21 +176,6 @@ func GemmATB32(c, a, b []float32, m, k, n int, accumulate bool) {
 	checkDims("GemmATB32 A", len(a), m*k)
 	checkDims("GemmATB32 B", len(b), m*n)
 	checkDims("GemmATB32 C", len(c), k*n)
-	gemmATB32(c, a, b, m, k, n, accumulate)
-}
-
-// GemmATBBatch32 is the float32 GemmATBBatch: C_s = Aᵀ·B_s for batch
-// samples sharing A, each exactly what GemmATB32 computes for it alone.
-func GemmATBBatch32(c, a, b []float32, batch, m, k, n int) {
-	checkDims("GemmATBBatch32 A", len(a), m*k)
-	checkDims("GemmATBBatch32 B", len(b), batch*m*n)
-	checkDims("GemmATBBatch32 C", len(c), batch*k*n)
-	for s := 0; s < batch; s++ {
-		gemmATB32(c[s*k*n:(s+1)*k*n], a, b[s*m*n:(s+1)*m*n], m, k, n, false)
-	}
-}
-
-func gemmATB32(c, a, b []float32, m, k, n int, accumulate bool) {
 	if k == 0 || n == 0 {
 		return
 	}
