@@ -132,6 +132,44 @@ var frozenCases = []frozenCase{
 			{0x525d2a67a7c1aceb, 0x1e98164be3d49d8b},
 		},
 	},
+	// The two cases below were recorded before the sync and deadline
+	// rounds were merged into one cohort round: they pin the sync
+	// policy's fault path, and a fault-free deadline run whose tight
+	// deadline both cuts stragglers and, in one round, falls back to the
+	// earliest finisher.
+	{
+		name:  "sync-faults",
+		fleet: 12,
+		cfg: func(c *Config, _ float64) {
+			c.Faults = []fault.Spec{
+				{Kind: fault.KindCrash, Frac: 0.2},
+				{Kind: fault.KindDrop, Frac: 0.1, Clients: []int{2, 5, 7}},
+				{Kind: fault.KindDup, Frac: 0.3},
+				{Kind: fault.KindSlow, Frac: 0.3, Param: 4},
+			}
+			c.Quorum = 0.5
+		},
+		rounds: 3,
+		want: [2][2]uint64{
+			{0xe24a3402f92a1296, 0x58cf4ce95bb6c12e},
+			{0x93a6290cfd255504, 0x850f7ab50ccb09bf},
+		},
+	},
+	{
+		name:  "deadline-hetero",
+		fleet: 12,
+		cfg: func(c *Config, nominal float64) {
+			c.Policy = PolicyDeadline
+			c.Devices = simclock.ExtremeFleet(12, nominal, 8)
+			c.RoundDeadlineSec = 0.9 * nominal
+			c.ParticipationFraction = 0.5
+		},
+		rounds: 3,
+		want: [2][2]uint64{
+			{0x2e039f09977b925c, 0x42ac2c1a8534be8b},
+			{0xd8cca0395ce1bf09, 0xfbf13489f6bb26d7},
+		},
+	},
 	{
 		name:  "adversary-mix",
 		fleet: 12,
