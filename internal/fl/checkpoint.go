@@ -575,7 +575,6 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 		}
 		s.arrivals.rebuild(s.pending)
 		s.buffer = s.buffer[:0]
-		s.bufMeasured = 0
 	}
 	fromWire, err := ckpt.ReadBool(r)
 	if err != nil {
@@ -593,7 +592,7 @@ func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
 			return fmt.Errorf("wire state: %w", err)
 		}
 	}
-	s.stepRetries, s.stepDropped, s.stepDups, s.stepDupBytes = 0, 0, 0, 0
+	s.rec = metrics.Round{}
 	s.failStreak = 0
 	return nil
 }

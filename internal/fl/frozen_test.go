@@ -14,12 +14,14 @@ import (
 
 // frozenCase is one configuration whose outputs are pinned as literal
 // hashes recorded on the code before a refactor (the lazy fleet, then
-// batched async dispatch): the FNV-1a of the final parameters of a full
-// Run, and the FNV-1a of a checkpoint blob taken after a few rounds. The referenceRun golden covers only the sync
-// policy over a small fleet; these pin the paths it does not reach
-// (async + codec, deadline + faults, adversaries, large tiled fleets,
-// fp32), so a refactor that moves the in-process path and its serve twin
-// together still cannot pass unnoticed.
+// batched async dispatch, then the one cohort round shared by the sync
+// and deadline policies): the FNV-1a of the final parameters of a full
+// Run, and the FNV-1a of a checkpoint blob taken after a few rounds. The
+// referenceRun golden covers only the fault-free sync policy over a small
+// fleet; these pin the paths it does not reach (async + codec, sync and
+// deadline + faults, a heterogeneous deadline fleet, adversaries, large
+// tiled fleets, fp32), so a refactor that moves the in-process path and
+// its serve twin together still cannot pass unnoticed.
 type frozenCase struct {
 	name  string
 	fleet int // clients, tiled from 100 Dirichlet shards when > 100
@@ -224,20 +226,13 @@ var FrozenAlgorithms = map[string]func() Algorithm{}
 // bytes a checkpoint carries), snapshots, and hashes the blob.
 func blobHash(t *testing.T, s *scheduler, rounds int) uint64 {
 	t.Helper()
-	var step func(int) (bool, error)
-	switch s.cfg.Policy {
-	case PolicyAsync:
+	if s.cfg.Policy == PolicyAsync {
 		if err := s.setupAsync(); err != nil {
 			t.Fatal(err)
 		}
-		step = s.asyncStep
-	case PolicyDeadline:
-		step = s.deadlineRound
-	default:
-		step = s.syncRound
 	}
 	for r := 0; r < rounds; r++ {
-		if halt, err := step(r); err != nil || halt {
+		if halt, err := s.step(r); err != nil || halt {
 			t.Fatalf("round %d: halt=%v err=%v", r, halt, err)
 		}
 	}

@@ -136,19 +136,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 				defer s.pool.close()
 
-				round := 0
-				var step func() (bool, error)
-				switch policy {
-				case PolicyDeadline:
-					step = func() (bool, error) { return s.deadlineRound(round) }
-				case PolicyAsync:
+				if policy == PolicyAsync {
 					if err := s.setupAsync(); err != nil {
 						t.Fatal(err)
 					}
-					step = func() (bool, error) { return s.asyncStep(round) }
-				default:
-					step = func() (bool, error) { return s.syncRound(round) }
 				}
+				round := 0
+				step := func() (bool, error) { return s.step(round) }
 
 				// Warm up: first rounds grow the delta ring, the engines'
 				// backward buffers, and the metric history's capacity.
@@ -300,7 +294,7 @@ func TestSlotPoolMemoryFootprint(t *testing.T) {
 		}
 		defer s.pool.close()
 		for round := 0; round < 3; round++ {
-			if halt, err := s.syncRound(round); err != nil || halt {
+			if halt, err := s.step(round); err != nil || halt {
 				t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 			}
 		}
@@ -383,7 +377,7 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 		// Three rounds force the lazily allocated state (engine gradient
 		// buffers, delta ring) to its steady-state high-water mark.
 		for round := 0; round < 3; round++ {
-			if halt, err := s.syncRound(round); err != nil || halt {
+			if halt, err := s.step(round); err != nil || halt {
 				t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 			}
 		}
@@ -419,7 +413,7 @@ func TestDeltaRingReuse(t *testing.T) {
 	}
 	defer s.pool.close()
 	for round := 0; round < 3; round++ {
-		if halt, err := s.syncRound(round); err != nil || halt {
+		if halt, err := s.step(round); err != nil || halt {
 			t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 		}
 	}
@@ -428,7 +422,7 @@ func TestDeltaRingReuse(t *testing.T) {
 		t.Fatalf("delta ring holds %d buffers after full-participation rounds, want 8", high)
 	}
 	for round := 3; round < 6; round++ {
-		if halt, err := s.syncRound(round); err != nil || halt {
+		if halt, err := s.step(round); err != nil || halt {
 			t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 		}
 	}

@@ -79,6 +79,11 @@ type scheduler struct {
 	// now is the virtual clock (modeled seconds since the run started).
 	now float64
 
+	// rec is the open round record: a sync or deadline admission and the
+	// async arrival loop count into it, commit adds the loss and uplink,
+	// and record completes it, appends it to run and starts the next.
+	rec metrics.Round
+
 	// stack is the aggregation-stack wrapper when the config declares one
 	// (nil otherwise); the round records read its per-round zeroed/
 	// clipped statistics through it.
@@ -96,29 +101,24 @@ type scheduler struct {
 	// Async-policy state (setupAsync/asyncStep). arrivals orders the live
 	// flights of pending by modeled finish; parked lists the re-dispatches
 	// whose rounds the next flush computes (capacity Config.maxCohort).
-	pending     []flight
-	arrivals    arrivalQueue
-	parked      []int
-	buffer      []Update
-	version     int
-	lastAgg     float64
-	bufMeasured float64
+	pending  []flight
+	arrivals arrivalQueue
+	parked   []int
+	buffer   []Update
+	version  int
+	lastAgg  float64
 
 	// Fault-injection and recovery state (fault.go, checkpoint.go). plan
 	// is nil for zero-fault configs, which keeps every fault branch off
 	// the golden-pinned path. dupFlags marks delivered-twice updates per
 	// include position; attempts tracks async per-client consecutive
-	// failed dispatch attempts. All are sized at setup so fault-enabled
+	// failed dispatch attempts, and failStreak the async arrivals that
+	// failed in a row. All are sized at setup so fault-enabled
 	// steady-state rounds still allocate nothing.
-	plan     *faultPlan
-	dupFlags []bool
-	attempts []int
-	// Async per-step fault counters, flushed into each round record.
-	stepRetries  int
-	stepDropped  int
-	stepDups     int
-	stepDupBytes int64
-	failStreak   int
+	plan       *faultPlan
+	dupFlags   []bool
+	attempts   []int
+	failStreak int
 
 	// Checkpoint/restore state: startRound is the first round to execute
 	// (non-zero after a restore); ckptBuf is the reusable encode scratch
@@ -308,15 +308,6 @@ func (s *scheduler) slowestHonest(ids []int, measured []float64, at float64) flo
 	return slowest
 }
 
-// runSync is the paper's lock-step loop: every participant trains, the
-// server waits for all of them — including any wait for an off-window
-// device to come back, which is where the synchronous policy pays for
-// heterogeneity in modeled wall time. With a uniform fleet it reproduces
-// the pre-scheduler engine bit-identically (golden-tested: for an
-// always-available device finishRel collapses to Seconds(baseRound)
-// exactly).
-func (s *scheduler) runSync() error { return s.runRounds(s.syncRound) }
-
 // runAll drives the configured policy's round loop. resumed marks a run
 // restored from a checkpoint, whose async in-flight state was rebuilt by
 // restore instead of setupAsync's initial dispatch wave.
@@ -326,13 +317,20 @@ func (s *scheduler) runAll(resumed bool) error {
 			return err
 		}
 	}
+	return s.runRounds()
+}
+
+// step executes round t under the configured policy — a server step under
+// the async policy, a cohort round with the policy's admission otherwise;
+// halt reports divergence.
+func (s *scheduler) step(t int) (halt bool, err error) {
 	switch s.cfg.Policy {
 	case PolicyDeadline:
-		return s.runRounds(s.deadlineRound)
+		return s.cohortRound(t, s.deadlineAdmit)
 	case PolicyAsync:
-		return s.runRounds(s.asyncStep)
+		return s.asyncStep(t)
 	default:
-		return s.runRounds(s.syncRound)
+		return s.cohortRound(t, s.syncAdmit)
 	}
 }
 
@@ -344,14 +342,14 @@ func (s *scheduler) wantCheckpoints() bool {
 }
 
 // runRounds is the policy-independent round loop with the recovery
-// machinery around one policy's step function: an initial checkpoint
+// machinery around the policy's step: an initial checkpoint
 // when checkpointing is armed, periodic checkpoints every CheckpointEvery
 // rounds, the one-shot simulated server crash (restore the last
 // checkpoint with its rng cursors and replay bit-identically), and the
 // divergence guard (roll back to the last checkpoint keeping the live
 // cursors — so the replay draws fresh batches — instead of halting,
 // up to maxRollbacks times).
-func (s *scheduler) runRounds(step func(int) (bool, error)) error {
+func (s *scheduler) runRounds() error {
 	if s.wantCheckpoints() && s.lastCkpt == nil {
 		if err := s.snapshot(s.startRound); err != nil {
 			return err
@@ -383,7 +381,7 @@ func (s *scheduler) runRounds(step func(int) (bool, error)) error {
 			t = restored
 			continue
 		}
-		halt, err := step(t)
+		halt, err := s.step(t)
 		if err != nil {
 			return err
 		}
@@ -482,119 +480,132 @@ func (s *scheduler) compactLost(include []int, updates []Update, measured []floa
 	return kept, lost
 }
 
-// syncRound executes one synchronous round; halt reports divergence.
-// Under a fault plan, each participant's dispatch is resolved first
-// (crash/drop/slow/dup draws plus retry chains, in client-id order from
-// the scheduler goroutine); only the delivering clients train, and the
-// server's wait covers the losers' full timeout chains.
-func (s *scheduler) syncRound(t int) (halt bool, err error) {
+// cohortRound executes one sync or deadline round; halt reports
+// divergence. admit picks the clients that train — and with them the
+// round's modeled duration and straggler and fault counts — and every
+// admitted client is dispatched at the round's start. Updates lost with
+// their worker are dropped, degrading the round instead of aborting it;
+// the rest are committed and the round recorded.
+func (s *scheduler) cohortRound(t int, admit func(ids []int, faulty bool) (include []int, dup []bool)) (halt bool, err error) {
 	ids, err := s.participants(t)
 	if err != nil {
 		return false, err
 	}
 	faulty := s.plan != nil && s.plan.anyDispatch
-	include := ids
-	var (
-		slowestModeled                        float64
-		dup                                   []bool
-		roundRetries, roundDropped, roundDups int
-		degraded                              bool
-	)
-	if faulty {
-		include = s.include[:0]
-		dup = s.dupFlags[:0]
-		for _, id := range ids {
-			out := s.resolveDispatch(id, s.now)
-			roundRetries += out.retries
-			if s.fleet.clients[id].fabricatorAt(s.now) == nil && out.rel > slowestModeled {
-				slowestModeled = out.rel
-			}
-			if !out.delivered {
-				roundDropped++
-				continue
-			}
-			include = append(include, id)
-			dup = append(dup, out.dup)
-			if out.dup {
-				roundDups++
-			}
-		}
-		s.include = include[:0]
-		s.dupFlags = dup[:0]
-		degraded = s.degraded(len(include), len(ids))
-	}
-
+	include, dup := admit(ids, faulty)
 	updates := s.updates[:len(include)]
 	measured := s.measured[:len(include)]
+	lost := 0
 	if len(include) > 0 {
 		if err := s.runCohort(t, include, updates, measured); err != nil {
 			return false, err
 		}
-		if kept, lost := s.compactLost(include, updates, measured, dup); lost > 0 {
-			include = include[:kept]
-			updates = updates[:kept]
-			measured = measured[:kept]
-			if dup != nil {
-				dup = dup[:kept]
-			}
-			roundDropped += lost
-			degraded = s.degraded(len(include), len(ids))
+		var kept int
+		kept, lost = s.compactLost(include, updates, measured, dup)
+		include, updates, measured = include[:kept], updates[:kept], measured[:kept]
+		if dup != nil {
+			dup = dup[:kept]
 		}
+		s.rec.DroppedUpdates += lost
 	}
-
-	if !faulty {
-		// The synchronous server waits for the slowest honest device.
-		for _, id := range ids {
-			if s.fleet.clients[id].fabricatorAt(s.now) != nil {
-				continue
-			}
-			if m := s.finishRel(id, s.now); m > slowestModeled {
-				slowestModeled = m
-			}
-		}
-	}
-	slowestMeasured := s.slowestHonest(include, measured, s.now)
-
-	if len(include) > 0 {
-		halt = s.aggregate(t, updates)
-	} else {
-		// Every update was lost: the model does not move this round.
-		s.lastHonestW, s.lastCorruptW = 0, 0
-		s.clearStackStats()
-	}
-	trainLoss := meanLoss(updates)
-	upBytes, upRatio := s.uplink(updates)
-	if roundDups > 0 {
-		upBytes += s.dupBytes(updates, dup)
-	}
-	s.releaseDeltas(updates)
-	if halt {
+	s.rec.Degraded = (faulty || lost > 0) && s.degraded(len(include), len(ids))
+	s.rec.SlowestMeasuredSec = s.slowestHonest(include, measured, s.now)
+	if s.commit(t, updates, dup) {
 		return true, nil
 	}
-	zeroed, clipped, clipNorm := s.stackStats()
-	rec := metrics.Round{
-		Index:              t,
-		TrainLoss:          trainLoss,
-		SlowestModeledSec:  slowestModeled,
-		SlowestMeasuredSec: slowestMeasured,
-		MeanAlpha:          s.alg.MeanAlpha(),
-		HonestWeight:       s.lastHonestW,
-		CorruptWeight:      s.lastCorruptW,
-		Retries:            roundRetries,
-		DroppedUpdates:     roundDropped,
-		DupUpdates:         roundDups,
-		Degraded:           degraded,
-		ZeroedUpdates:      zeroed,
-		ClippedUpdates:     clipped,
-		ClipNorm:           clipNorm,
-		UplinkBytes:        upBytes,
-		CompressionRatio:   upRatio,
-	}
-	s.drainRecoveryInto(&rec)
-	s.recordAccuracy(t, &rec)
-	s.run.Append(rec)
-	s.now += slowestModeled
+	s.now += s.rec.SlowestModeledSec
+	s.record(t)
 	return false, nil
+}
+
+// syncAdmit admits a synchronous round: the paper's lock-step loop, where
+// every participant trains and the server waits for all of them —
+// including any wait for an off-window device to come back, which is
+// where the synchronous policy pays for heterogeneity in modeled wall
+// time. The wait covers every dispatched honest client, delivered or not,
+// so it is fixed here, before any update can be lost. With a uniform
+// fleet it reproduces the pre-scheduler engine bit-identically
+// (golden-tested: for an always-available device finishRel collapses to
+// Seconds(baseRound) exactly). Under a fault plan only the delivering
+// clients train, and the wait covers the losers' full timeout chains.
+func (s *scheduler) syncAdmit(ids []int, faulty bool) (include []int, dup []bool) {
+	include, dup = s.include[:0], s.dupFlags[:0]
+	for _, id := range ids {
+		out := s.outcome(id, faulty)
+		s.rec.Retries += out.retries
+		if s.fleet.clients[id].fabricatorAt(s.now) == nil {
+			s.rec.SlowestModeledSec = max(s.rec.SlowestModeledSec, out.rel)
+		}
+		if !out.delivered {
+			s.rec.DroppedUpdates++
+			continue
+		}
+		include, dup = s.enlist(include, dup, id, out.dup)
+	}
+	return include, dup
+}
+
+// deadlineAdmit admits a deadline round: round-based partial aggregation.
+// Participants whose modeled finish time exceeds the round deadline are
+// dropped before any work is dispatched (the server will not wait, so the
+// straggler's round is abandoned) and retry from the next round's fresh
+// model. When every participant would miss the deadline the server admits
+// the earliest finisher so the round always aggregates at least one
+// update. Under a fault plan a dispatch whose retry budget is exhausted
+// counts as a dropped *update* (the client never delivered), while a
+// delivered update past the deadline counts as a dropped *client* (the
+// classic straggler cut).
+func (s *scheduler) deadlineAdmit(ids []int, faulty bool) (include []int, dup []bool) {
+	include, dup = s.include[:0], s.dupFlags[:0]
+	earliest, first := -1, dispatchOutcome{rel: math.Inf(1)}
+	for _, id := range ids {
+		out := s.outcome(id, faulty)
+		s.rec.Retries += out.retries
+		switch {
+		case !out.delivered:
+			s.rec.DroppedUpdates++
+		case out.rel <= s.cfg.RoundDeadlineSec:
+			include, dup = s.enlist(include, dup, id, out.dup)
+			s.rec.SlowestModeledSec = max(s.rec.SlowestModeledSec, out.rel)
+		default:
+			s.rec.DroppedClients++
+			if out.rel < first.rel {
+				earliest, first = id, out
+			}
+		}
+	}
+	if len(include) == 0 && earliest >= 0 {
+		include, dup = s.enlist(include, dup, earliest, first.dup)
+		s.rec.DroppedClients--
+		s.rec.SlowestModeledSec = first.rel
+	} else if s.rec.DroppedClients > 0 || len(include) == 0 {
+		// Stragglers were cut off (or every update was lost), so the
+		// server waited out the full deadline before closing the round.
+		s.rec.SlowestModeledSec = s.cfg.RoundDeadlineSec
+	}
+	return include, dup
+}
+
+// outcome is client id's dispatch at the round's start: resolved under
+// the fault plan when one is live, else delivered at its fault-free
+// finish.
+func (s *scheduler) outcome(id int, faulty bool) dispatchOutcome {
+	if faulty {
+		return s.resolveDispatch(id, s.now)
+	}
+	return dispatchOutcome{delivered: true, rel: s.finishRel(id, s.now)}
+}
+
+// enlist appends client id to the admitted cohort, with its dup flag when
+// the round tracks them (only under a fault plan).
+func (s *scheduler) enlist(include []int, dup []bool, id int, isDup bool) ([]int, []bool) {
+	if dup != nil {
+		dup = append(dup, isDup)
+	}
+	if isDup {
+		s.rec.DupUpdates++
+	}
+	return append(include, id), dup
 }
 
 // runCohort runs a sync or deadline round's local updates — every job
@@ -620,147 +631,41 @@ func (s *scheduler) finishRel(id int, now float64) float64 {
 	return wait + s.finishDur(id)
 }
 
-// runDeadline is round-based partial aggregation: participants whose
-// modeled finish time exceeds the round deadline are dropped before any
-// work is dispatched (the server will not wait, so the straggler's round
-// is abandoned) and retry from the next round's fresh model. When every
-// participant would miss the deadline the server admits the earliest
-// finisher so the round always aggregates at least one update.
-func (s *scheduler) runDeadline() error { return s.runRounds(s.deadlineRound) }
-
-// deadlineRound executes one deadline round; halt reports divergence.
-// Under a fault plan each dispatch is fault-resolved first; a dispatch
-// whose retry budget is exhausted counts as a dropped *update* (the
-// client never delivered), while a delivered update past the deadline
-// counts as a dropped *client* (the classic straggler cut).
-func (s *scheduler) deadlineRound(t int) (halt bool, err error) {
-	ids, err := s.participants(t)
-	if err != nil {
-		return false, err
-	}
-	faulty := s.plan != nil && s.plan.anyDispatch
-	include := s.include[:0]
-	var dup []bool
-	if faulty {
-		dup = s.dupFlags[:0]
-	}
-	var roundDur float64
-	dropped := 0
-	var roundRetries, roundDropped, roundDups int
-	earliest, earliestRel := -1, math.Inf(1)
-	earliestDup := false
-	for _, id := range ids {
-		var rel float64
-		isDup := false
-		if faulty {
-			out := s.resolveDispatch(id, s.now)
-			roundRetries += out.retries
-			if !out.delivered {
-				roundDropped++
-				continue
-			}
-			rel, isDup = out.rel, out.dup
-		} else {
-			rel = s.finishRel(id, s.now)
-		}
-		if rel <= s.cfg.RoundDeadlineSec {
-			include = append(include, id)
-			if faulty {
-				dup = append(dup, isDup)
-				if isDup {
-					roundDups++
-				}
-			}
-			if rel > roundDur {
-				roundDur = rel
-			}
-		} else {
-			dropped++
-			if rel < earliestRel {
-				earliest, earliestRel, earliestDup = id, rel, isDup
-			}
-		}
-	}
-	if len(include) == 0 && earliest >= 0 {
-		include = append(include, earliest)
-		if faulty {
-			dup = append(dup, earliestDup)
-			if earliestDup {
-				roundDups++
-			}
-		}
-		dropped--
-		roundDur = earliestRel
-	} else if dropped > 0 || (faulty && len(include) == 0) {
-		// Stragglers were cut off (or every update was lost), so the
-		// server waited out the full deadline before closing the round.
-		roundDur = s.cfg.RoundDeadlineSec
-	}
-	s.include = include[:0]
-	if faulty {
-		s.dupFlags = dup[:0]
-	}
-
-	updates := s.updates[:len(include)]
-	measured := s.measured[:len(include)]
-	lostN := 0
-	if len(include) > 0 {
-		if err := s.runCohort(t, include, updates, measured); err != nil {
-			return false, err
-		}
-		var kept int
-		kept, lostN = s.compactLost(include, updates, measured, dup)
-		if lostN > 0 {
-			include = include[:kept]
-			updates = updates[:kept]
-			measured = measured[:kept]
-			if dup != nil {
-				dup = dup[:kept]
-			}
-			roundDropped += lostN
-		}
-	}
-	if len(include) > 0 {
+// commit applies a round's delivered updates (an async step's buffer):
+// aggregate them — or, when every update was lost, leave the model as it
+// is and clear the round's weight split and stack statistics — then add
+// the training loss and the uplink, duplicate deliveries flagged in dup
+// included, to the open record and return the upload buffers to the
+// ring. halt reports divergence.
+func (s *scheduler) commit(t int, updates []Update, dup []bool) (halt bool) {
+	if len(updates) > 0 {
 		halt = s.aggregate(t, updates)
 	} else {
 		s.lastHonestW, s.lastCorruptW = 0, 0
 		s.clearStackStats()
 	}
-	trainLoss := meanLoss(updates)
-	slowestMeasured := s.slowestHonest(include, measured, s.now)
-	upBytes, upRatio := s.uplink(updates)
-	if roundDups > 0 {
-		upBytes += s.dupBytes(updates, dup)
-	}
+	s.rec.TrainLoss = meanLoss(updates)
+	up, ratio := s.uplink(updates)
+	s.rec.UplinkBytes += up + s.dupBytes(updates, dup)
+	s.rec.CompressionRatio = ratio
 	s.releaseDeltas(updates)
-	if halt {
-		return true, nil
-	}
-	zeroed, clipped, clipNorm := s.stackStats()
-	rec := metrics.Round{
-		Index:              t,
-		TrainLoss:          trainLoss,
-		SlowestModeledSec:  roundDur,
-		SlowestMeasuredSec: slowestMeasured,
-		MeanAlpha:          s.alg.MeanAlpha(),
-		HonestWeight:       s.lastHonestW,
-		CorruptWeight:      s.lastCorruptW,
-		DroppedClients:     dropped,
-		Retries:            roundRetries,
-		DroppedUpdates:     roundDropped,
-		DupUpdates:         roundDups,
-		Degraded:           (faulty || lostN > 0) && s.degraded(len(include), len(ids)),
-		ZeroedUpdates:      zeroed,
-		ClippedUpdates:     clipped,
-		ClipNorm:           clipNorm,
-		UplinkBytes:        upBytes,
-		CompressionRatio:   upRatio,
-	}
-	s.drainRecoveryInto(&rec)
-	s.recordAccuracy(t, &rec)
-	s.run.Append(rec)
-	s.now += roundDur
-	return false, nil
+	return halt
+}
+
+// record completes round t's open record and appends it: the mean α, the
+// honest/corrupt weight split and the stack statistics as they stand at
+// the call, then the failover counters and the accuracy. The next round
+// starts a fresh record.
+func (s *scheduler) record(t int) {
+	rec := &s.rec
+	rec.Index = t
+	rec.MeanAlpha = s.alg.MeanAlpha()
+	rec.HonestWeight, rec.CorruptWeight = s.lastHonestW, s.lastCorruptW
+	rec.ZeroedUpdates, rec.ClippedUpdates, rec.ClipNorm = s.stackStats()
+	s.drainRecoveryInto(rec)
+	s.recordAccuracy(t, rec)
+	s.run.Append(*rec)
+	*rec = metrics.Round{}
 }
 
 // flight is one client's in-progress local round under the async policy:
@@ -946,26 +851,20 @@ func (s *scheduler) setupAsync() error {
 	return s.flush()
 }
 
-// runAsync is FedBuff-style buffered asynchronous aggregation: every
-// client trains continuously; the server steps once asyncBuffer updates
-// have arrived, tagging each with its staleness (server versions elapsed
-// since the client downloaded its base model). A client restarts from
-// the then-current model immediately after uploading; the update that
-// triggers a server step restarts after it, on the new model. Cfg.Rounds
-// counts server steps.
-func (s *scheduler) runAsync() error {
-	if err := s.setupAsync(); err != nil {
-		return err
-	}
-	return s.runRounds(s.asyncStep)
-}
-
-// asyncStep drains arrivals in virtual-time order (ties broken by client
-// ID) until the buffer triggers one server step; halt reports divergence.
-// Re-dispatches park and are computed in batches, flushed when an
-// arrival needs a parked update, before aggregation, when the park list
-// fills, and at the end of the step — so between steps nothing is
-// parked, and snapshots, restores and rollbacks see no batching at all.
+// asyncStep executes one server step of FedBuff-style buffered
+// asynchronous aggregation: every client trains continuously; the server
+// steps once asyncBuffer updates have arrived, tagging each with its
+// staleness (server versions elapsed since the client downloaded its base
+// model). A client restarts from the then-current model immediately after
+// uploading; the update that triggers a server step restarts after it, on
+// the new model. Cfg.Rounds counts server steps; halt reports divergence.
+//
+// The step drains arrivals in virtual-time order (ties broken by client
+// ID) until the buffer triggers. Re-dispatches park and are computed in
+// batches, flushed when an arrival needs a parked update, before
+// aggregation, when the park list fills, and at the end of the step — so
+// between steps nothing is parked, and snapshots, restores and rollbacks
+// see no batching at all.
 func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	bufK := s.cfg.asyncBuffer()
 	trigger := -1
@@ -1017,11 +916,11 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 			attempt := f.attempt
 			if attempt < s.plan.retries {
 				s.attempts[id] = attempt + 1
-				s.stepRetries++
+				s.rec.Retries++
 				err = s.dispatch(id, s.now+s.plan.backoff(attempt, s.plan.perClient[id].r))
 			} else {
 				s.attempts[id] = 0
-				s.stepDropped++
+				s.rec.DroppedUpdates++
 				err = s.dispatch(id, s.now)
 			}
 			if err != nil {
@@ -1036,14 +935,12 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 		if f.dup {
 			// Duplicated delivery: the server is idempotent — count it,
 			// charge its bytes, aggregate the update once.
-			s.stepDups++
-			s.stepDupBytes += s.payloadBytes(&f.update)
+			s.rec.DupUpdates++
+			s.rec.UplinkBytes += s.payloadBytes(&f.update)
 		}
 		f.update.Staleness = s.version - f.version
 		s.buffer = append(s.buffer, f.update)
-		if f.measured > s.bufMeasured {
-			s.bufMeasured = f.measured
-		}
+		s.rec.SlowestMeasuredSec = max(s.rec.SlowestMeasuredSec, f.measured)
 		if len(s.buffer) < bufK {
 			if err := s.dispatch(id, s.now); err != nil {
 				return false, err
@@ -1053,13 +950,12 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 		}
 	}
 
-	var staleSum, staleMax int
+	var staleSum int
 	for _, u := range s.buffer {
 		staleSum += u.Staleness
-		if u.Staleness > staleMax {
-			staleMax = u.Staleness
-		}
+		s.rec.MaxStaleness = max(s.rec.MaxStaleness, u.Staleness)
 	}
+	s.rec.MeanStaleness = float64(staleSum) / float64(len(s.buffer))
 
 	// The parked rounds read the model and algorithm state this step
 	// replaces (Scaffold's Aggregate also reads the c_i their EndLocal
@@ -1067,11 +963,7 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	if err := s.flush(); err != nil {
 		return false, err
 	}
-	halt = s.aggregate(t, s.buffer)
-	trainLoss := meanLoss(s.buffer)
-	upBytes, upRatio := s.uplink(s.buffer)
-	s.releaseDeltas(s.buffer)
-	if halt {
+	if s.commit(t, s.buffer, nil) {
 		return true, nil
 	}
 	s.version++
@@ -1083,33 +975,10 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	if err := s.flush(); err != nil {
 		return false, err
 	}
-	zeroed, clipped, clipNorm := s.stackStats()
-	rec := metrics.Round{
-		Index:              t,
-		TrainLoss:          trainLoss,
-		SlowestModeledSec:  s.now - s.lastAgg,
-		SlowestMeasuredSec: s.bufMeasured,
-		MeanAlpha:          s.alg.MeanAlpha(),
-		HonestWeight:       s.lastHonestW,
-		CorruptWeight:      s.lastCorruptW,
-		MeanStaleness:      float64(staleSum) / float64(len(s.buffer)),
-		MaxStaleness:       staleMax,
-		Retries:            s.stepRetries,
-		DroppedUpdates:     s.stepDropped,
-		DupUpdates:         s.stepDups,
-		ZeroedUpdates:      zeroed,
-		ClippedUpdates:     clipped,
-		ClipNorm:           clipNorm,
-		UplinkBytes:        upBytes + s.stepDupBytes,
-		CompressionRatio:   upRatio,
-	}
-	s.drainRecoveryInto(&rec)
-	s.recordAccuracy(t, &rec)
-	s.run.Append(rec)
+	s.rec.SlowestModeledSec = s.now - s.lastAgg
+	s.record(t)
 	s.lastAgg = s.now
 	s.buffer = s.buffer[:0]
-	s.bufMeasured = 0
-	s.stepRetries, s.stepDropped, s.stepDups, s.stepDupBytes = 0, 0, 0, 0
 	return false, nil
 }
 
