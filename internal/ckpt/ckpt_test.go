@@ -148,8 +148,8 @@ func TestCorruptInputErrors(t *testing.T) {
 
 type fakeCursor struct{ state []byte }
 
-func (c *fakeCursor) MarshalBinary() ([]byte, error)  { return c.state, nil }
-func (c *fakeCursor) UnmarshalBinary(d []byte) error  { c.state = append([]byte(nil), d...); return nil }
+func (c *fakeCursor) MarshalBinary() ([]byte, error) { return c.state, nil }
+func (c *fakeCursor) UnmarshalBinary(d []byte) error { c.state = append([]byte(nil), d...); return nil }
 
 func TestCursorRoundTripAndSkip(t *testing.T) {
 	var b bytes.Buffer
