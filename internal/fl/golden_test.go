@@ -21,10 +21,10 @@ import (
 
 // referenceRun is a frozen copy of the engine's pre-scheduler lock-step
 // round loop (the Run of the GEMM-substrate revision). It is the golden
-// oracle for the synchronous policy: a Run whose cohort rounds admit with
-// syncAdmit must reproduce it bit-identically — same RNG derivation order, same update ordering,
-// same aggregation arithmetic. Do not "fix" or modernize this function;
-// divergence from it is the bug.
+// oracle for the synchronous policy: a Run whose cohort rounds admit
+// with syncAdmit must reproduce it bit-identically — same RNG derivation
+// order, same update ordering, same aggregation arithmetic. Do not "fix"
+// or modernize this function; divergence from it is the bug.
 func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset) (*Result, error) {
 	n := len(shards)
 	root := rng.New(cfg.Seed)
