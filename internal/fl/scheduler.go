@@ -308,18 +308,6 @@ func (s *scheduler) slowestHonest(ids []int, measured []float64, at float64) flo
 	return slowest
 }
 
-// runAll drives the configured policy's round loop. resumed marks a run
-// restored from a checkpoint, whose async in-flight state was rebuilt by
-// restore instead of setupAsync's initial dispatch wave.
-func (s *scheduler) runAll(resumed bool) error {
-	if s.cfg.Policy == PolicyAsync && !resumed {
-		if err := s.setupAsync(); err != nil {
-			return err
-		}
-	}
-	return s.runRounds()
-}
-
 // step executes round t under the configured policy — a server step under
 // the async policy, a cohort round with the policy's admission otherwise;
 // halt reports divergence.
@@ -341,15 +329,22 @@ func (s *scheduler) wantCheckpoints() bool {
 	return s.cfg.CheckpointEvery > 0 || (s.plan != nil && s.plan.crashRound >= 0)
 }
 
-// runRounds is the policy-independent round loop with the recovery
-// machinery around the policy's step: an initial checkpoint
-// when checkpointing is armed, periodic checkpoints every CheckpointEvery
-// rounds, the one-shot simulated server crash (restore the last
-// checkpoint with its rng cursors and replay bit-identically), and the
-// divergence guard (roll back to the last checkpoint keeping the live
-// cursors — so the replay draws fresh batches — instead of halting,
-// up to maxRollbacks times).
-func (s *scheduler) runRounds() error {
+// runAll drives the configured policy's round loop: the policy's step
+// inside the policy-independent recovery machinery — an initial
+// checkpoint when checkpointing is armed, periodic checkpoints every
+// CheckpointEvery rounds, the one-shot simulated server crash (restore
+// the last checkpoint with its rng cursors and replay bit-identically),
+// and the divergence guard (roll back to the last checkpoint keeping the
+// live cursors — so the replay draws fresh batches — instead of halting,
+// up to maxRollbacks times). resumed marks a run restored from a
+// checkpoint, whose async in-flight state was rebuilt by restore instead
+// of setupAsync's initial dispatch wave.
+func (s *scheduler) runAll(resumed bool) error {
+	if s.cfg.Policy == PolicyAsync && !resumed {
+		if err := s.setupAsync(); err != nil {
+			return err
+		}
+	}
 	if s.wantCheckpoints() && s.lastCkpt == nil {
 		if err := s.snapshot(s.startRound); err != nil {
 			return err
